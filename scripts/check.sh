@@ -6,8 +6,8 @@
 #   2. ThreadSanitizer build of the solver stack, running the LP and MILP
 #      test binaries (the concurrent pieces: work-stealing branch-and-
 #      bound, shared incumbent, warm-start engines);
-#   3. ThreadSanitizer pass over the scheduling service (TaskPool,
-#      sharded single-flight cache, admission queue) and the metrics/
+#   3. ThreadSanitizer pass over the scheduling service (owned worker
+#      threads, single-flight memos, admission queue) and the metrics/
 #      trace instruments (obs_test's concurrent-increment tests), plus
 #      bench_service, whose asserts prove cache-hit schedules
 #      byte-identical to fresh solves and 16 concurrent duplicates
@@ -29,7 +29,8 @@
 #      the solver arithmetic and the service lifecycle);
 #   8. network round trip: dvs-server (--reactors=2) + dvs-loadgen over
 #      loopback under TSan, then scripts/bench_net.sh rows at 1/2/4
-#      reactors (BENCH_net.json) with a 5k req/s single-reactor floor
+#      reactors (into the temp dir; the tracked BENCH_net.json is left
+#      alone) with a 5k req/s single-reactor floor
 #      and, on hosts with >= 4 cores, a >= 2x-of-single-reactor floor
 #      for the 4-reactor row; the reactors=1 row's schedules must be
 #      byte-identical to dvsd's for the same jobs; a malformed-frame +
@@ -140,6 +141,16 @@ done
 # in-process; this catches drift in the dvsd wiring).
 grep -q '"cdvs_stage_latency_seconds"' "$OBS_TMP/metrics.json" \
   || { echo "metrics JSON dump is missing stage latencies"; exit 1; }
+# Single-flight profiles: eight jobs on one cold (workload, input, mode
+# table) key, four workers racing on it, exactly one collection.
+: > "$OBS_TMP/race_jobs.jsonl"
+for i in 0 1 2 3 4 5 6 7; do
+  echo "{\"id\":\"race$i\",\"workload\":\"adpcm\",\"input\":\"rossini\",\"levels\":4,\"tightness\":0.$((2 + i))}" \
+    >> "$OBS_TMP/race_jobs.jsonl"
+done
+./build/tools/dvsd --threads=4 --quiet "$OBS_TMP/race_jobs.jsonl" \
+  | grep '"type":"stats"' | grep -q '"profile_cache":{"hits":[0-9]*,"misses":1,' \
+  || { echo "racing same-key jobs collected the profile more than once"; exit 1; }
 
 echo
 echo "== static analysis: dvs-lint over the bundled workloads =="
@@ -197,19 +208,22 @@ kill -TERM "$TSAN_SRV"
 wait "$TSAN_SRV"
 
 echo
-echo "== net: reactor-count scaling rows (BENCH_net.json) =="
+echo "== net: reactor-count scaling rows (scripts/bench_net.sh) =="
 cmake --build build -j"$JOBS" --target dvs-server dvs-loadgen
 DISTINCT=16
+# The rows go to the temp dir: the tracked BENCH_net.json is only ever
+# rewritten by a deliberate scripts/bench_net.sh run.
+NET_ROWS="$NET_TMP/bench_net.json"
 BENCH_NET_DISTINCT="$DISTINCT" \
-  scripts/bench_net.sh BENCH_net.json "$NET_TMP/netsched"
+  scripts/bench_net.sh "$NET_ROWS" "$NET_TMP/netsched"
 # The cached steady state must sustain at least 5k served req/s end to
 # end on one reactor.
 DONE1="$(awk -F'"done_rps":' '{split($2,a,","); printf "%s", a[1]}' \
-  BENCH_net.json)"
+  "$NET_ROWS")"
 DONE4="$(awk -F'"done_rps":' '{split($4,a,","); printf "%s", a[1]}' \
-  BENCH_net.json)"
+  "$NET_ROWS")"
 CORES="$(awk -F'"host_cores":' '{split($2,a,","); printf "%s", a[1]}' \
-  BENCH_net.json)"
+  "$NET_ROWS")"
 awk -v d="$DONE1" 'BEGIN { if (d + 0 < 5000.0) {
   printf "single-reactor rate %.0f rps is below the 5000 rps floor\n", d;
   exit 1 } }'

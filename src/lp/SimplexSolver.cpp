@@ -82,6 +82,9 @@ struct Core {
   long IterBase = 0; // Iterations at the start of the current solve
   long TotalPivots = 0;
   int DegenRun = 0;
+  /// Set by a pivot on an entry tiny against its column, which can
+  /// leave the tableau far from the original rows; cleared by a rebuild.
+  bool IllConditioned = false;
 
   Core(const LpProblem *P, SimplexOptions O) : P(P), O(O) {}
 
@@ -142,6 +145,7 @@ void Core::buildCold() {
   NumCols = NumStruct + NumRows + NumArt;
   RhsCol = NumCols;
 
+  IllConditioned = false;
   Tab.assign(static_cast<size_t>(NumRows) * (NumCols + 1), 0.0);
   Lo.assign(NumCols, 0.0);
   Hi.assign(NumCols, 0.0);
@@ -202,6 +206,7 @@ void Core::buildRaw() {
   NumCols = NumStruct + NumRows;
   RhsCol = NumCols;
 
+  IllConditioned = false;
   Tab.assign(static_cast<size_t>(NumRows) * (NumCols + 1), 0.0);
   Lo.assign(NumCols, 0.0);
   Hi.assign(NumCols, 0.0);
@@ -242,15 +247,31 @@ void Core::computeReducedCosts(const std::vector<double> &Costs) {
 }
 
 void Core::computePhase2Costs() {
+  // Pricing compares reduced costs with an absolute CostTol, so scale
+  // the costs to a largest magnitude of 1. DVS costs are joules
+  // (1e-9..1e-4), where an unscaled 1e-7 would call whole transition-
+  // energy columns optimal already.
+  double MaxCost = 0.0;
+  for (int C = 0; C < NumStruct; ++C)
+    MaxCost = std::max(MaxCost, std::fabs(P->cost(C)));
+  double Scale = MaxCost > 0.0 ? 1.0 / MaxCost : 1.0;
   std::vector<double> Costs(NumCols, 0.0);
   for (int C = 0; C < NumStruct; ++C)
-    Costs[C] = P->cost(C);
+    Costs[C] = P->cost(C) * Scale;
   computeReducedCosts(Costs);
 }
 
 void Core::pivot(int Row, int Col) {
   double Piv = at(Row, Col);
   assert(std::fabs(Piv) > 1e-12 && "pivot too small");
+  // DVS rows put joules beside seconds, so the ratio tests can pick an
+  // entry nine orders below its column's largest; such a pivot amplifies
+  // rounding into the whole tableau. Flag it for the engine's re-check.
+  double ColMax = 0.0;
+  for (int I = 0; I < NumRows; ++I)
+    ColMax = std::max(ColMax, std::fabs(atC(I, Col)));
+  if (std::fabs(Piv) < 1e-9 * ColMax)
+    IllConditioned = true;
   double Inv = 1.0 / Piv;
   for (int C = 0; C <= NumCols; ++C)
     at(Row, C) *= Inv;
@@ -258,8 +279,12 @@ void Core::pivot(int Row, int Col) {
   for (int I = 0; I < NumRows; ++I) {
     if (I == Row)
       continue;
+    // Eliminate every nonzero: skipping a "tiny" one (the old 1e-13
+    // cut) leaves that row out of step with the basis, and entries that
+    // small are real here — the tableau then certified optima that were
+    // not (adpcm/rossini at 4 levels: 335.575 uJ claimed, 329.810 true).
     double F = at(I, Col);
-    if (std::fabs(F) <= 1e-13) {
+    if (F == 0.0) {
       at(I, Col) = 0.0;
       continue;
     }
@@ -636,23 +661,21 @@ bool Core::refactorizeFrom(const SimplexBasis &B) {
                    : VarState::AtLower;
   }
 
-  // Target column per row; rows whose export was an artificial (-1) fall
-  // back to their own slack, duplicates resolved greedily afterwards.
-  std::vector<int> Tgt(NumRows, -1);
+  // The basic set: the snapshot's basic columns, plus the own slack of
+  // each row whose export was an artificial (-1), when still free.
+  std::vector<int> Cols;
   std::vector<char> ColUsed(NumCols, 0);
   for (int I = 0; I < NumRows; ++I) {
     int C = B.BasisOfRow[I];
     if (C >= 0 && C < NumCols && !ColUsed[C]) {
-      Tgt[I] = C;
+      Cols.push_back(C);
       ColUsed[C] = 1;
     }
   }
   for (int I = 0; I < NumRows; ++I) {
-    if (Tgt[I] >= 0)
-      continue;
     int SlackCol = NumStruct + I;
-    if (!ColUsed[SlackCol]) {
-      Tgt[I] = SlackCol;
+    if (B.BasisOfRow[I] < 0 && !ColUsed[SlackCol]) {
+      Cols.push_back(SlackCol);
       ColUsed[SlackCol] = 1;
     }
   }
@@ -664,46 +687,45 @@ bool Core::refactorizeFrom(const SimplexBasis &B) {
     pivot(Row, Col);
   };
 
-  // Gaussian elimination into the target basis: pivot whichever
-  // remaining (row, target) pair currently has a usable entry; a row
-  // whose target entry was eliminated picks any unused column instead.
+  // Gaussian elimination with partial pivoting: each basic column enters
+  // on the unassigned row where its entry is largest. The snapshot's
+  // row of a column is irrelevant (a column basic in row I of the
+  // transformed tableau may be zero in raw row I); only the set counts.
+  // A column with no usable entry left depends on those before it and
+  // gives its place to the largest remaining entry of an unused column.
   std::vector<char> Done(NumRows, 0);
   int Remaining = NumRows;
-  while (Remaining > 0) {
-    bool Progress = false;
-    for (int I = 0; I < NumRows; ++I) {
-      if (Done[I] || Tgt[I] < 0)
-        continue;
-      if (std::fabs(at(I, Tgt[I])) <= 1e-7)
-        continue;
-      installBasic(I, Tgt[I]);
-      Done[I] = 1;
-      --Remaining;
-      Progress = true;
-    }
-    if (Progress)
+  for (int C : Cols) {
+    int Row = -1;
+    double BestA = O.PivotTol;
+    for (int I = 0; I < NumRows; ++I)
+      if (!Done[I] && std::fabs(at(I, C)) > BestA) {
+        BestA = std::fabs(at(I, C));
+        Row = I;
+      }
+    if (Row < 0) {
+      ColUsed[C] = 0;
       continue;
+    }
+    installBasic(Row, C);
+    Done[Row] = 1;
+    --Remaining;
+  }
+  while (Remaining > 0) {
     int PickRow = -1, PickCol = -1;
-    double BestA = 1e-7;
-    for (int I = 0; I < NumRows && PickRow < 0; ++I) {
+    double BestA = O.PivotTol;
+    for (int I = 0; I < NumRows; ++I) {
       if (Done[I])
         continue;
-      for (int C = 0; C < NumCols; ++C) {
-        if (ColUsed[C])
-          continue;
-        double A = std::fabs(at(I, C));
-        if (A > BestA) {
-          BestA = A;
+      for (int C = 0; C < NumCols; ++C)
+        if (!ColUsed[C] && std::fabs(at(I, C)) > BestA) {
+          BestA = std::fabs(at(I, C));
           PickRow = I;
           PickCol = C;
         }
-      }
     }
     if (PickRow < 0)
       return false;
-    if (Tgt[PickRow] >= 0)
-      ColUsed[Tgt[PickRow]] = 0; // release the unusable target
-    Tgt[PickRow] = PickCol;
     ColUsed[PickCol] = 1;
     installBasic(PickRow, PickCol);
     Done[PickRow] = 1;
@@ -791,6 +813,23 @@ LpSolution SimplexEngine::Impl::solve() {
     case LpStatus::IterationLimit:
       Trust = false;
       break;
+    }
+    if (Trust && C.IllConditioned && S.Status != LpStatus::Unbounded) {
+      // An ill-conditioned pivot since the last rebuild can leave a
+      // tableau that claims optimality or infeasibility for a basis with
+      // neither property, while the primal check above still passes.
+      // The verdict stands only if a tableau rebuilt from the original
+      // rows around the final basis reaches it again without a pivot.
+      SimplexBasis B;
+      C.exportBasis(B);
+      Trust = C.refactorizeFrom(B);
+      PivotsAtRebuild = C.TotalPivots;
+      if (Trust) {
+        LpSolution Check = C.solveWarm(DualCap);
+        Trust = Check.Status == S.Status && Check.Iterations == 0;
+        Check.Iterations = S.Iterations;
+        S = std::move(Check);
+      }
     }
     if (Trust) {
       ++Warm;

@@ -113,8 +113,9 @@ LpSolution solveLp(const LpProblem &Problem,
 ///
 /// Robustness: any numerical doubt (failed refactorization, iteration
 /// cap, a warm "optimal" that fails a feasibility check) falls back to
-/// the proven cold two-phase path, so warm starting is strictly an
-/// optimization, never a correctness risk.
+/// the cold two-phase path. After an ill-conditioned pivot a warm
+/// verdict must also survive a re-solve on a tableau refactorized from
+/// the original rows around the final basis, without a pivot.
 class SimplexEngine {
 public:
   explicit SimplexEngine(LpProblem Problem,

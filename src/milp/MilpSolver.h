@@ -78,7 +78,10 @@ struct MilpSolution {
 /// Tuning knobs for the branch-and-bound.
 struct MilpOptions {
   double IntTol = 1e-6;     ///< |x - round(x)| below this is integral.
-  double AbsGap = 1e-9;     ///< Prune nodes within this of the incumbent.
+  /// Prune nodes within this of the incumbent. Small because DVS
+  /// objectives are joules (~1e-4): a gap of 1e-9 let two searches for
+  /// the same optimum stop 1e-5 apart.
+  double AbsGap = 1e-12;
   long MaxNodes = 2000000;  ///< Node budget.
   double TimeLimitSec = 600.0;
   bool UseRounding = true;  ///< Enable the group-rounding heuristic.

@@ -15,7 +15,7 @@
 /// one listener and round-robins accepted fds to its peers through
 /// per-reactor handoff queues and a wakeup-fd nudge.
 ///
-/// Jobs run on the embedded SchedulerService's persistent TaskPool;
+/// Jobs run on the embedded SchedulerService's worker threads;
 /// completions come back through a *per-reactor* lock-free MPSC queue
 /// (worker threads push, the owning reactor drains on wakeup), so
 /// response routing never takes a lock shared between reactors.

@@ -6,10 +6,6 @@
 
 #include "service/ResultCache.h"
 
-#include "obs/Trace.h"
-
-#include <cassert>
-
 using namespace cdvs;
 
 ResultCache::ResultCache(size_t Capacity, size_t NumShards) {
@@ -20,113 +16,32 @@ ResultCache::ResultCache(size_t Capacity, size_t NumShards) {
     PerShardCap = 1;
   Shards.reserve(NumShards);
   for (size_t I = 0; I < NumShards; ++I) {
-    Shards.push_back(std::make_unique<Shard>());
-    Shard &S = *Shards.back();
     obs::Labels L{{"shard", std::to_string(I)}};
-    S.MHits = &obs::metrics().counter(
+    Shard::Instruments In;
+    In.WaitSpan = "cache_wait";
+    In.Hits = &obs::metrics().counter(
         "cdvs_cache_hits_total", "Result-cache lookups served from the store", L);
-    S.MMisses = &obs::metrics().counter(
+    In.Misses = &obs::metrics().counter(
         "cdvs_cache_misses_total",
         "Result-cache lookups that led a fresh solve", L);
-    S.MShared = &obs::metrics().counter(
+    In.Shared = &obs::metrics().counter(
         "cdvs_cache_shared_flights_total",
         "Lookups that waited on another request's in-flight solve", L);
-    S.MEvictions = &obs::metrics().counter(
+    In.Evictions = &obs::metrics().counter(
         "cdvs_cache_evictions_total", "LRU entries displaced", L);
+    Shards.push_back(std::make_unique<Shard>(PerShardCap, In));
   }
-}
-
-ResultCache::Shard &ResultCache::shardOf(const std::string &Key) {
-  return *Shards[std::hash<std::string>{}(Key) % Shards.size()];
-}
-
-const ResultCache::Shard &
-ResultCache::shardOf(const std::string &Key) const {
-  return *Shards[std::hash<std::string>{}(Key) % Shards.size()];
-}
-
-ResultCache::Lookup
-ResultCache::getOrCompute(const std::string &Key,
-                          const ComputeFn &Compute) {
-  Shard &S = shardOf(Key);
-  std::shared_ptr<Flight> F;
-  bool Leader = false;
-  {
-    std::lock_guard<std::mutex> Lock(S.Mu);
-    auto It = S.Map.find(Key);
-    if (It != S.Map.end()) {
-      // Hit: refresh recency.
-      S.Lru.splice(S.Lru.begin(), S.Lru, It->second.LruIt);
-      ++S.Hits;
-      S.MHits->inc();
-      return {It->second.Value, /*Hit=*/true, /*Shared=*/false};
-    }
-    auto FIt = S.InFlight.find(Key);
-    if (FIt != S.InFlight.end()) {
-      F = FIt->second;
-      ++S.SharedFlights;
-      S.MShared->inc();
-    } else {
-      F = std::make_shared<Flight>();
-      S.InFlight.emplace(Key, F);
-      Leader = true;
-      ++S.Misses;
-      S.MMisses->inc();
-    }
-  }
-
-  if (!Leader) {
-    // The wait is where single-flight followers spend their stage time;
-    // make it a first-class span so a trace shows collapse, not hangs.
-    obs::TraceSpan Wait("cache_wait", "cache");
-    std::unique_lock<std::mutex> FLock(F->Mu);
-    F->Cv.wait(FLock, [&] { return F->Done; });
-    return {F->Value, /*Hit=*/false, /*Shared=*/true};
-  }
-
-  // Leader: solve with no shard lock held.
-  std::shared_ptr<const CachedSchedule> Value = Compute();
-
-  {
-    std::lock_guard<std::mutex> Lock(S.Mu);
-    if (Value) {
-      S.Lru.push_front(Key);
-      S.Map[Key] = {Value, S.Lru.begin()};
-      while (S.Map.size() > PerShardCap) {
-        S.Map.erase(S.Lru.back());
-        S.Lru.pop_back();
-        ++S.Evictions;
-        S.MEvictions->inc();
-      }
-    }
-    S.InFlight.erase(Key);
-  }
-  {
-    std::lock_guard<std::mutex> FLock(F->Mu);
-    F->Value = Value;
-    F->Done = true;
-  }
-  F->Cv.notify_all();
-  return {Value, /*Hit=*/false, /*Shared=*/false};
-}
-
-std::shared_ptr<const CachedSchedule>
-ResultCache::peek(const std::string &Key) const {
-  const Shard &S = shardOf(Key);
-  std::lock_guard<std::mutex> Lock(S.Mu);
-  auto It = S.Map.find(Key);
-  return It == S.Map.end() ? nullptr : It->second.Value;
 }
 
 CacheStats ResultCache::stats() const {
   CacheStats Total;
-  for (const auto &SP : Shards) {
-    std::lock_guard<std::mutex> Lock(SP->Mu);
-    Total.Hits += SP->Hits;
-    Total.Misses += SP->Misses;
-    Total.SharedFlights += SP->SharedFlights;
-    Total.Evictions += SP->Evictions;
-    Total.Entries += SP->Map.size();
+  for (const auto &S : Shards) {
+    CacheStats One = S->stats();
+    Total.Hits += One.Hits;
+    Total.Misses += One.Misses;
+    Total.SharedFlights += One.SharedFlights;
+    Total.Evictions += One.Evictions;
+    Total.Entries += One.Entries;
   }
   return Total;
 }

@@ -13,10 +13,10 @@
 /// leader's flight and share its result, so N identical requests cost
 /// one solve.
 ///
-/// Sharding keeps the lock a solve-duration-free point: a shard's mutex
-/// is only ever held for map/list operations; leaders compute with no
-/// lock held. Values are immutable shared_ptrs, so readers never copy
-/// the schedule text under the lock either.
+/// Each shard is a SingleFlight memo (service/SingleFlight.h) bounded
+/// to its share of the capacity, whose counters mirror into the
+/// shard-labeled cdvs_cache_* registry series. Values are immutable
+/// shared_ptrs, so readers never copy the schedule text under a lock.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -24,15 +24,12 @@
 #define CDVS_SERVICE_RESULTCACHE_H
 
 #include "milp/MilpSolver.h"
-#include "obs/Metrics.h"
+#include "service/SingleFlight.h"
 
-#include <condition_variable>
 #include <functional>
-#include <list>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 namespace cdvs {
@@ -68,15 +65,6 @@ struct CachedSchedule {
   double MakespanSeconds = 0.0;
 };
 
-/// Counters for the cache and its single-flight layer.
-struct CacheStats {
-  long Hits = 0;
-  long Misses = 0; ///< leader computes (== solves attempted)
-  long SharedFlights = 0; ///< followers that waited on a leader
-  long Evictions = 0;
-  size_t Entries = 0;
-};
-
 /// Sharded LRU + single-flight store; see the file comment.
 class ResultCache {
 public:
@@ -84,57 +72,30 @@ public:
   /// (each shard keeps at least one entry).
   explicit ResultCache(size_t Capacity, size_t NumShards = 8);
 
-  using ComputeFn =
-      std::function<std::shared_ptr<const CachedSchedule>()>;
-
-  /// What getOrCompute observed for a key.
-  struct Lookup {
-    std::shared_ptr<const CachedSchedule> Value;
-    bool Hit = false;    ///< served from the store
-    bool Shared = false; ///< served by waiting on another's solve
-  };
+  using Shard = SingleFlight<CachedSchedule>;
+  using Lookup = Shard::Lookup;
 
   /// \returns the cached value for \p Key, computing it with \p Compute
   /// on a miss. Concurrent calls for the same key collapse to one
   /// Compute. A Compute returning nullptr (transient failure) is handed
   /// to its waiters but not stored, so a later request retries.
-  Lookup getOrCompute(const std::string &Key, const ComputeFn &Compute);
+  template <typename ComputeFn>
+  Lookup getOrCompute(const std::string &Key, ComputeFn &&Compute) {
+    return shardOf(Key).getOrCompute(Key, std::forward<ComputeFn>(Compute));
+  }
 
   /// Non-computing probe (does not touch hit/miss counters or recency).
-  std::shared_ptr<const CachedSchedule>
-  peek(const std::string &Key) const;
+  std::shared_ptr<const CachedSchedule> peek(const std::string &Key) const {
+    return shardOf(Key).peek(Key);
+  }
 
   CacheStats stats() const;
   size_t capacity() const { return PerShardCap * Shards.size(); }
 
 private:
-  struct Flight {
-    std::mutex Mu;
-    std::condition_variable Cv;
-    bool Done = false;
-    std::shared_ptr<const CachedSchedule> Value;
-  };
-
-  struct Shard {
-    mutable std::mutex Mu;
-    /// Most-recently-used first; entries hold iterators into this list.
-    std::list<std::string> Lru;
-    struct Entry {
-      std::shared_ptr<const CachedSchedule> Value;
-      std::list<std::string>::iterator LruIt;
-    };
-    std::unordered_map<std::string, Entry> Map;
-    std::unordered_map<std::string, std::shared_ptr<Flight>> InFlight;
-    long Hits = 0, Misses = 0, SharedFlights = 0, Evictions = 0;
-    /// Shard-labeled mirrors in the process registry, so an exported
-    /// snapshot shows whether load skews onto one shard. Registered at
-    /// cache construction; increments ride the shard lock.
-    obs::Counter *MHits = nullptr, *MMisses = nullptr,
-                 *MShared = nullptr, *MEvictions = nullptr;
-  };
-
-  Shard &shardOf(const std::string &Key);
-  const Shard &shardOf(const std::string &Key) const;
+  Shard &shardOf(const std::string &Key) const {
+    return *Shards[std::hash<std::string>{}(Key) % Shards.size()];
+  }
 
   size_t PerShardCap;
   std::vector<std::unique_ptr<Shard>> Shards;

@@ -14,6 +14,7 @@
 #include "power/VfModel.h"
 #include "support/Clock.h"
 #include "support/Hash.h"
+#include "support/ThreadPool.h"
 #include "taskgraph/Online.h"
 #include "taskgraph/PlanIO.h"
 #include "verify/TaskGraphChecker.h"
@@ -209,26 +210,100 @@ GraphMetrics &graphMetrics() {
   return M;
 }
 
+/// The distributed trace context a request carried over the wire (empty
+/// for in-process callers). Installing it makes every pipeline span of
+/// the job (job, profile, bound, solve, peer_fill, serialize, verify) a
+/// child of the sender's span under one trace id.
+obs::SpanContext spanContextOf(const JobRequest &Request) {
+  obs::SpanContext Ctx;
+  Ctx.TraceHi = Request.TraceHi;
+  Ctx.TraceLo = Request.TraceLo;
+  Ctx.Span = Request.TraceParentSpan;
+  Ctx.Sampled = Request.TraceSampled;
+  return Ctx;
+}
+
+/// Validates the mode-table knobs both job kinds share. \returns the
+/// failure reason, or an empty string when they are usable.
+std::string modeKnobError(const JobRequest &Request) {
+  if (Request.NumLevels != 0 &&
+      (Request.NumLevels < 2 || Request.NumLevels > 64))
+    return "voltage level count must be 0 (XScale table) or in [2, 64]";
+  if (Request.CapacitanceF < 0.0)
+    return "regulator capacitance must be nonnegative";
+  return "";
+}
+
+/// The request's voltage/frequency table (knobs already validated).
+ModeTable modeTableOf(const JobRequest &Request) {
+  return Request.NumLevels == 0
+             ? ModeTable::xscale3()
+             : ModeTable::evenVoltageLevels(Request.NumLevels, 0.7, 1.65,
+                                            VfModel::paperDefault());
+}
+
+/// Stamps the terminal status and total time on \p R (a job that
+/// started at \p T0) and records the stage histograms the job reached.
+JobResult finishJob(JobResult &R, Clock::time_point T0, JobStatus Status,
+                    std::string Reason = "") {
+  R.Status = Status;
+  R.Reason = std::move(Reason);
+  R.TotalSeconds = R.QueueSeconds + secondsSince(T0);
+  ServiceMetrics &M = serviceMetrics();
+  M.Queue.observe(R.QueueSeconds);
+  M.Total.observe(R.TotalSeconds);
+  // Per-stage observations only for stages the job reached; a
+  // validation failure should not pollute the profile histogram with
+  // zeros.
+  if (R.ProfileSeconds > 0.0 || Status == JobStatus::Done)
+    M.Profile.observe(R.ProfileSeconds);
+  if (R.BoundSeconds > 0.0 || Status == JobStatus::Done)
+    M.Bound.observe(R.BoundSeconds);
+  if (Status == JobStatus::Done && !R.CacheHit && !R.SharedFlight) {
+    M.Solve.observe(R.SolveSeconds);
+    M.Serialize.observe(R.SerializeSeconds);
+  }
+  return R;
+}
+
 } // namespace
 
 SchedulerService::SchedulerService(ServiceOptions Options)
-    : Opts(Options), Cache(Options.CacheCapacity, Options.CacheShards),
-      Paused(Options.StartPaused), Pool(Options.NumWorkers) {
-  for (int W = 0; W < Pool.numThreads(); ++W)
-    Pool.submit([this] { workerLoop(); });
+    : Opts(std::move(Options)), Cache(Opts.CacheCapacity, Opts.CacheShards),
+      Paused(Opts.StartPaused) {
+  // Register the job families up front so they export (at zero) before
+  // the first job, and the tools' stats lines can read them by name.
+  serviceMetrics();
+  int N = resolveThreads(Opts.NumWorkers);
+  Workers.reserve(static_cast<size_t>(N));
+  for (int W = 0; W < N; ++W)
+    Workers.emplace_back([this] { workerLoop(); });
 }
 
 SchedulerService::~SchedulerService() { shutdown(); }
 
-std::string SchedulerService::admit(std::unique_ptr<PendingJob> &Job) {
+std::future<JobResult> SchedulerService::submit(JobRequest Request) {
+  auto Promise = std::make_shared<std::promise<JobResult>>();
+  std::future<JobResult> Fut = Promise->get_future();
+  submitAsync(std::move(Request), [Promise](JobResult R) {
+    Promise->set_value(std::move(R));
+  });
+  return Fut;
+}
+
+bool SchedulerService::submitAsync(JobRequest Request,
+                                   std::function<void(JobResult)> OnDone) {
+  assert(OnDone && "submitAsync needs a completion callback");
   obs::TraceSpan Admit("admit", "service");
 
   // Urgency: tighter deadlines run first. Absolute deadlines and
   // tightness fractions are both "smaller = more stringent"; mixing the
   // two in one queue is a heuristic, but batches are normally uniform.
-  double Urgency = Job->Request.DeadlineSeconds > 0.0
-                       ? Job->Request.DeadlineSeconds
-                       : Job->Request.DeadlineTightness;
+  double Urgency = Request.DeadlineSeconds > 0.0 ? Request.DeadlineSeconds
+                                                 : Request.DeadlineTightness;
+  auto Job = std::make_unique<PendingJob>();
+  Job->Request = std::move(Request);
+  Job->OnDone = std::move(OnDone);
 
   std::string RejectReason;
   size_t Depth = 0;
@@ -247,56 +322,21 @@ std::string SchedulerService::admit(std::unique_ptr<PendingJob> &Job) {
     }
   }
   Admit.arg("queue_depth", static_cast<double>(Depth));
+  Admit.end();
 
   ServiceMetrics &M = serviceMetrics();
-  if (!RejectReason.empty()) {
-    M.Rejected.inc();
-    std::lock_guard<std::mutex> Lock(StatsMu);
-    ++Counters.Rejected;
-  } else {
+  if (RejectReason.empty()) {
     M.Submitted.inc();
     M.QueueDepth.set(static_cast<double>(Depth));
     M.QueueDepthPeak.max(static_cast<double>(Depth));
-    {
-      std::lock_guard<std::mutex> Lock(StatsMu);
-      ++Counters.Submitted;
-      Counters.PeakQueueDepth = std::max(Counters.PeakQueueDepth, Depth);
-    }
     Cv.notify_one();
-  }
-  return RejectReason;
-}
-
-std::future<JobResult> SchedulerService::submit(JobRequest Request) {
-  auto Job = std::make_unique<PendingJob>();
-  Job->Request = std::move(Request);
-  std::future<JobResult> Fut = Job->Promise.get_future();
-
-  std::string RejectReason = admit(Job);
-  if (!RejectReason.empty()) {
-    JobResult R;
-    R.Id = Job->Request.Id;
-    R.Status = JobStatus::Rejected;
-    R.Reason = RejectReason;
-    Job->Promise.set_value(std::move(R));
-  }
-  return Fut;
-}
-
-bool SchedulerService::submitAsync(JobRequest Request,
-                                   std::function<void(JobResult)> OnDone) {
-  assert(OnDone && "submitAsync needs a completion callback");
-  auto Job = std::make_unique<PendingJob>();
-  Job->Request = std::move(Request);
-  Job->OnDone = std::move(OnDone);
-
-  std::string RejectReason = admit(Job);
-  if (RejectReason.empty())
     return true;
+  }
+  M.Rejected.inc();
   JobResult R;
   R.Id = Job->Request.Id;
   R.Status = JobStatus::Rejected;
-  R.Reason = RejectReason;
+  R.Reason = std::move(RejectReason);
   Job->OnDone(std::move(R));
   return false;
 }
@@ -328,69 +368,51 @@ void SchedulerService::resume() {
 }
 
 void SchedulerService::shutdown() {
-  {
-    std::lock_guard<std::mutex> Lock(Mu);
-    Stopping = true;
-  }
-  Cv.notify_all();
-  Pool.shutdown(); // joins the worker loops; they drain the queue first
+  // call_once blocks concurrent callers until the active call returns,
+  // so every caller comes back after the drain, and the workers are
+  // joined exactly once.
+  std::call_once(ShutdownOnce, [this] {
+    {
+      std::lock_guard<std::mutex> Lock(Mu);
+      Stopping = true;
+    }
+    Cv.notify_all();
+    for (std::thread &T : Workers)
+      T.join(); // the workers drain the queue before they exit
+  });
 }
-
-ServiceStats SchedulerService::stats() const {
-  std::lock_guard<std::mutex> Lock(StatsMu);
-  return Counters;
-}
-
-CacheStats SchedulerService::cacheStats() const { return Cache.stats(); }
 
 void SchedulerService::workerLoop() {
   for (;;) {
     std::unique_ptr<PendingJob> Job;
     {
       std::unique_lock<std::mutex> Lock(Mu);
+      // Shutdown overrides pause: a stopping service drains everything.
       Cv.wait(Lock, [this] {
         return Stopping || (!Paused && !Queue.empty());
       });
-      if (Queue.empty()) {
-        if (Stopping)
-          return;
-        continue;
-      }
-      if (Paused && !Stopping)
-        continue; // re-check the predicate; shutdown overrides pause
+      if (Queue.empty())
+        return; // stopping, and nothing left to drain
       auto It = Queue.begin();
       Job = std::move(It->second);
       Queue.erase(It);
-      serviceMetrics().QueueDepth.set(
-          static_cast<double>(Queue.size()));
+      serviceMetrics().QueueDepth.set(static_cast<double>(Queue.size()));
     }
     long Seq = DequeueSeq.fetch_add(1, std::memory_order_relaxed);
-    double QueueSeconds =
-        std::chrono::duration<double>(Clock::now() - Job->Enqueued)
-            .count();
-    JobResult R = execute(Job->Request, QueueSeconds, Seq);
+    JobResult R = execute(Job->Request, secondsSince(Job->Enqueued), Seq);
     ServiceMetrics &M = serviceMetrics();
-    {
-      std::lock_guard<std::mutex> Lock(StatsMu);
-      switch (R.Status) {
-      case JobStatus::Done:
-        ++Counters.Completed;
-        M.Completed.inc();
-        break;
-      case JobStatus::Infeasible:
-        ++Counters.Infeasible;
-        M.Infeasible.inc();
-        break;
-      default:
-        ++Counters.Failed;
-        M.Failed.inc();
-        break;
-      }
+    switch (R.Status) {
+    case JobStatus::Done:
+      M.Completed.inc();
+      break;
+    case JobStatus::Infeasible:
+      M.Infeasible.inc();
+      break;
+    default:
+      M.Failed.inc();
+      break;
     }
-    if (Job->OnDone)
-      Job->OnDone(std::move(R));
-    else
-      Job->Promise.set_value(std::move(R));
+    Job->OnDone(std::move(R));
   }
 }
 
@@ -456,109 +478,124 @@ SchedulerService::profileOne(const std::string &WorkloadName,
                      WorkloadName + "' (known: " + Known + ")");
   }
 
-  std::string Key = WorkloadName + "\x1f" + Wanted + "\x1f" + ModesKey;
-  std::shared_ptr<const Profile> Cached;
-  {
-    std::lock_guard<std::mutex> Lock(ProfileMu);
-    auto It = ProfileCache.find(Key);
-    if (It != ProfileCache.end())
-      Cached = It->second;
-  }
-  if (!Cached) {
-    // Collect outside the lock: profiling runs the simulator once per
-    // mode. A racing duplicate collection is idempotent.
-    auto T0 = Clock::now();
-    Simulator Sim(*W.Fn);
-    Input->Setup(Sim);
-    auto Collected =
-        std::make_shared<const Profile>(collectProfile(Sim, Modes));
+  // A miss collects (the simulator runs once per mode); workers racing
+  // on the same key wait for that one collection. Either way the time
+  // is this job's profile stage.
+  auto T0 = Clock::now();
+  SingleFlight<Profile>::Lookup L = Profiles.getOrCompute(
+      WorkloadName + "\x1f" + Wanted + "\x1f" + ModesKey, [&] {
+        Simulator Sim(*W.Fn);
+        Input->Setup(Sim);
+        return std::make_shared<const Profile>(collectProfile(Sim, Modes));
+      });
+  if (!L.Hit)
     *ProfileSeconds += secondsSince(T0);
-    std::lock_guard<std::mutex> Lock(ProfileMu);
-    // If a racing worker inserted first, its (identical) profile wins.
-    Cached = ProfileCache.emplace(Key, Collected).first->second;
-    std::lock_guard<std::mutex> SLock(StatsMu);
-    ++Counters.ProfileCacheMisses;
-  } else {
-    std::lock_guard<std::mutex> SLock(StatsMu);
-    ++Counters.ProfileCacheHits;
-  }
-  return Cached;
+  return L.Value;
 }
 
 JobResult SchedulerService::execute(const JobRequest &Request,
                                     double QueueSeconds, long DequeueSeq) {
-  if (Request.Graph)
-    return executeGraph(Request, QueueSeconds, DequeueSeq);
-  // Requests that arrived over the wire carry a distributed trace
-  // context; installing it here makes every pipeline span below (job,
-  // profile, bound, solve, peer_fill, serialize, verify) a child of
-  // the sender's span under one trace id.
-  obs::SpanContext Ctx;
-  Ctx.TraceHi = Request.TraceHi;
-  Ctx.TraceLo = Request.TraceLo;
-  Ctx.Span = Request.TraceParentSpan;
-  Ctx.Sampled = Request.TraceSampled;
-  obs::ScopedSpanContext CtxGuard(Ctx);
+  obs::ScopedSpanContext CtxGuard(spanContextOf(Request));
   obs::TraceSpan JobSpan("job", "service");
   JobSpan.arg("dequeue_seq", static_cast<double>(DequeueSeq));
+  if (Request.Graph)
+    JobSpan.arg("graph_tasks", static_cast<double>(Request.Graph->Nodes.size()));
   auto T0 = Clock::now();
   JobResult R;
   R.Id = Request.Id;
   R.QueueSeconds = QueueSeconds;
   R.DequeueSeq = DequeueSeq;
+  return Request.Graph ? executeGraph(Request, R, T0)
+                       : executeProgram(Request, R, T0);
+}
 
-  auto finish = [&](JobStatus Status, std::string Reason = "") {
-    R.Status = Status;
-    R.Reason = std::move(Reason);
-    R.TotalSeconds = QueueSeconds + secondsSince(T0);
-    ServiceMetrics &M = serviceMetrics();
-    M.Queue.observe(R.QueueSeconds);
-    M.Total.observe(R.TotalSeconds);
-    // Per-stage observations only for stages the job reached; a
-    // validation failure should not pollute the profile histogram with
-    // zeros.
-    if (R.ProfileSeconds > 0.0 || Status == JobStatus::Done)
-      M.Profile.observe(R.ProfileSeconds);
-    if (R.BoundSeconds > 0.0 || Status == JobStatus::Done)
-      M.Bound.observe(R.BoundSeconds);
-    if (Status == JobStatus::Done && !R.CacheHit && !R.SharedFlight) {
-      M.Solve.observe(R.SolveSeconds);
-      M.Serialize.observe(R.SerializeSeconds);
-    }
-    return R;
-  };
+template <typename SolveFn>
+JobResult SchedulerService::solveAndFinish(const JobRequest &Request,
+                                           JobResult &R,
+                                           Clock::time_point T0,
+                                           SolveFn &&Solve) {
+  std::string TransientError;
+  obs::TraceSpan SolveSpan("solve", "service");
+  ResultCache::Lookup L = Cache.getOrCompute(
+      R.Fingerprint, [&]() -> std::shared_ptr<const CachedSchedule> {
+        if (Opts.PeerFill) {
+          // Cluster mode: a key that migrated here on a ring rebuild may
+          // already be solved on its previous owner — fetch beats a cold
+          // solve by orders of magnitude. Misses fall through to solving.
+          obs::TraceSpan FillSpan("peer_fill", "service");
+          std::shared_ptr<const CachedSchedule> Fetched =
+              Opts.PeerFill(Request, R.Fingerprint);
+          FillSpan.arg("hit", Fetched ? 1.0 : 0.0);
+          if (Fetched)
+            return Fetched;
+        }
+        return Solve(TransientError);
+      });
+  SolveSpan.arg("cache_hit", L.Hit ? 1.0 : 0.0);
+  SolveSpan.arg("shared_flight", L.Shared ? 1.0 : 0.0);
+  SolveSpan.end();
 
+  R.CacheHit = L.Hit;
+  R.SharedFlight = L.Shared;
+  if (!L.Value)
+    return finishJob(R, T0, JobStatus::Failed,
+                     TransientError.empty()
+                         ? std::string("shared solve failed; retry")
+                         : TransientError);
+  const CachedSchedule &C = *L.Value;
+  R.ScheduleText = C.ScheduleText;
+  R.PredictedEnergyJoules = C.PredictedEnergyJoules;
+  R.Milp = C.Milp;
+  R.SolveSeconds = C.SolveSeconds;
+  R.SerializeSeconds = C.SerializeSeconds;
+  R.VerifySeconds = C.VerifySeconds;
+  R.VerifyErrors = C.VerifyErrors;
+  R.VerifyDetail = C.VerifyDetail;
+  if (Request.Graph) {
+    R.Replans = std::max(C.Replans, 0);
+    R.ReplansAccepted = C.ReplansAccepted;
+    R.StaticEnergyJoules = C.StaticEnergyJoules;
+    R.ActualEnergyJoules = C.ActualEnergyJoules;
+    R.MakespanSeconds = C.MakespanSeconds;
+  }
+  if (!C.Feasible)
+    return finishJob(R, T0, JobStatus::Infeasible, C.Reason);
+  if (R.VerifyErrors > 0) {
+    serviceMetrics().VerifyFailures.inc();
+    if (Opts.Verify == VerifyMode::Strict)
+      return finishJob(R, T0, JobStatus::Failed,
+                       "verification failed (" +
+                           std::to_string(R.VerifyErrors) +
+                           " errors): " + R.VerifyDetail);
+  }
+  return finishJob(R, T0, JobStatus::Done);
+}
+
+JobResult SchedulerService::executeProgram(const JobRequest &Request,
+                                           JobResult &R,
+                                           Clock::time_point T0) {
   // Request validation (stage 0): reject malformed knobs with reasons.
   if (Request.Workload.empty())
-    return finish(JobStatus::Failed, "missing workload name");
+    return finishJob(R, T0, JobStatus::Failed, "missing workload name");
   if (Request.FilterThreshold < 0.0 || Request.FilterThreshold >= 1.0)
-    return finish(JobStatus::Failed,
-                  "filter threshold must be in [0, 1)");
+    return finishJob(R, T0, JobStatus::Failed,
+                     "filter threshold must be in [0, 1)");
   if (Request.DeadlineSeconds <= 0.0 && Request.DeadlineTightness < 0.0)
-    return finish(JobStatus::Failed,
-                  "deadline tightness must be nonnegative");
-  if (Request.NumLevels != 0 &&
-      (Request.NumLevels < 2 || Request.NumLevels > 64))
-    return finish(JobStatus::Failed,
-                  "voltage level count must be 0 (XScale table) or in "
-                  "[2, 64]");
-  if (Request.CapacitanceF < 0.0)
-    return finish(JobStatus::Failed,
-                  "regulator capacitance must be nonnegative");
+    return finishJob(R, T0, JobStatus::Failed,
+                     "deadline tightness must be nonnegative");
+  std::string KnobError = modeKnobError(Request);
+  if (!KnobError.empty())
+    return finishJob(R, T0, JobStatus::Failed, KnobError);
 
-  ModeTable Modes =
-      Request.NumLevels == 0
-          ? ModeTable::xscale3()
-          : ModeTable::evenVoltageLevels(Request.NumLevels, 0.7, 1.65,
-                                         VfModel::paperDefault());
+  ModeTable Modes = modeTableOf(Request);
   int InitialMode = Request.InitialMode < 0
                         ? static_cast<int>(Modes.size()) - 1
                         : Request.InitialMode;
   if (InitialMode >= static_cast<int>(Modes.size()))
-    return finish(JobStatus::Failed,
-                  "initial mode " + std::to_string(InitialMode) +
-                      " out of range (table has " +
-                      std::to_string(Modes.size()) + " modes)");
+    return finishJob(R, T0, JobStatus::Failed,
+                     "initial mode " + std::to_string(InitialMode) +
+                         " out of range (table has " +
+                         std::to_string(Modes.size()) + " modes)");
   TransitionModel Transitions(Request.CapacitanceF, 0.9, 1.0);
 
   // Stage 1: profiles (memoized).
@@ -567,7 +604,7 @@ JobResult SchedulerService::execute(const JobRequest &Request,
     return profileStage(Request, Modes, &R.ProfileSeconds);
   }();
   if (!Profiled)
-    return finish(JobStatus::Failed, Profiled.message());
+    return finishJob(R, T0, JobStatus::Failed, Profiled.message());
   std::vector<CategoryProfile> &Categories = *Profiled;
 
   // Stage 2: deadline resolution, early feasibility, lower bound, and
@@ -585,8 +622,8 @@ JobResult SchedulerService::execute(const JobRequest &Request,
             : TFast + Request.DeadlineTightness * (TSlow - TFast);
     if (Deadlines[C] < TFast) {
       R.BoundSeconds = nanosToSeconds(monotonicNanos() - BoundT0);
-      return finish(
-          JobStatus::Infeasible,
+      return finishJob(
+          R, T0, JobStatus::Infeasible,
           "deadline " + std::to_string(Deadlines[C] * 1e3) +
               " ms is below the fastest single-mode time " +
               std::to_string(TFast * 1e3) + " ms (category " +
@@ -613,45 +650,22 @@ JobResult SchedulerService::execute(const JobRequest &Request,
   if (Opts.Presolve) {
     obs::TraceSpan AnalyzeSpan("analyze", "service");
     uint64_t AnalyzeT0 = monotonicNanos();
-    {
-      std::lock_guard<std::mutex> Lock(AnalysisMu);
-      auto It = AnalysisCache.find(Request.Workload);
-      if (It != AnalysisCache.end())
-        FA = It->second;
-    }
-    bool Hit = FA != nullptr;
-    if (!FA) {
-      // Compute outside the lock; a racing duplicate is idempotent.
-      auto Computed = std::make_shared<const analysis::FunctionAnalysis>(
-          analysis::analyzeFunction(*W.Fn));
-      std::lock_guard<std::mutex> Lock(AnalysisMu);
-      FA = AnalysisCache.emplace(Request.Workload, Computed).first->second;
-    }
+    SingleFlight<analysis::FunctionAnalysis>::Lookup L =
+        Analyses.getOrCompute(Request.Workload, [&] {
+          return std::make_shared<const analysis::FunctionAnalysis>(
+              analysis::analyzeFunction(*W.Fn));
+        });
+    FA = L.Value;
     serviceMetrics().Analyze.observe(
         nanosToSeconds(monotonicNanos() - AnalyzeT0));
-    AnalyzeSpan.arg("cache_hit", Hit ? 1.0 : 0.0);
+    AnalyzeSpan.arg("cache_hit", L.Hit ? 1.0 : 0.0);
   }
 
   double LowerBound = R.LowerBoundJoules;
-  std::string TransientError;
-  obs::TraceSpan SolveSpan("solve", "service");
-  ResultCache::Lookup L = Cache.getOrCompute(
-      R.Fingerprint,
-      [&]() -> std::shared_ptr<const CachedSchedule> {
-        if (Opts.PeerFill) {
-          // Cluster mode: a key that migrated here on a ring rebuild may
-          // already be solved on its previous owner — fetch beats a cold
-          // MILP by orders of magnitude. Misses fall through to solving.
-          obs::TraceSpan FillSpan("peer_fill", "service");
-          std::shared_ptr<const CachedSchedule> Fetched =
-              Opts.PeerFill(Request, R.Fingerprint);
-          FillSpan.arg("hit", Fetched ? 1.0 : 0.0);
-          if (Fetched) {
-            std::lock_guard<std::mutex> Lock(StatsMu);
-            ++Counters.PeerFills;
-            return Fetched;
-          }
-        }
+  return solveAndFinish(
+      Request, R, T0,
+      [&](std::string &TransientError)
+          -> std::shared_ptr<const CachedSchedule> {
         DvsOptions O;
         O.FilterThreshold = Request.FilterThreshold;
         O.InitialMode = InitialMode;
@@ -713,119 +727,44 @@ JobResult SchedulerService::execute(const JobRequest &Request,
         }
         return C;
       });
-  SolveSpan.arg("cache_hit", L.Hit ? 1.0 : 0.0);
-  SolveSpan.arg("shared_flight", L.Shared ? 1.0 : 0.0);
-  SolveSpan.end();
-
-  R.CacheHit = L.Hit;
-  R.SharedFlight = L.Shared;
-  if (!L.Value)
-    return finish(JobStatus::Failed,
-                  TransientError.empty()
-                      ? std::string("shared solve failed; retry")
-                      : TransientError);
-  R.ScheduleText = L.Value->ScheduleText;
-  R.PredictedEnergyJoules = L.Value->PredictedEnergyJoules;
-  R.Milp = L.Value->Milp;
-  R.SolveSeconds = L.Value->SolveSeconds;
-  R.SerializeSeconds = L.Value->SerializeSeconds;
-  R.VerifySeconds = L.Value->VerifySeconds;
-  R.VerifyErrors = L.Value->VerifyErrors;
-  R.VerifyDetail = L.Value->VerifyDetail;
-  if (!L.Value->Feasible)
-    return finish(JobStatus::Infeasible, L.Value->Reason);
-  if (R.VerifyErrors > 0) {
-    serviceMetrics().VerifyFailures.inc();
-    {
-      std::lock_guard<std::mutex> Lock(StatsMu);
-      ++Counters.VerifyFailures;
-    }
-    if (Opts.Verify == VerifyMode::Strict)
-      return finish(JobStatus::Failed,
-                    "verification failed (" +
-                        std::to_string(R.VerifyErrors) + " errors): " +
-                        R.VerifyDetail);
-  }
-  return finish(JobStatus::Done);
 }
 
 JobResult SchedulerService::executeGraph(const JobRequest &Request,
-                                         double QueueSeconds,
-                                         long DequeueSeq) {
-  obs::SpanContext Ctx;
-  Ctx.TraceHi = Request.TraceHi;
-  Ctx.TraceLo = Request.TraceLo;
-  Ctx.Span = Request.TraceParentSpan;
-  Ctx.Sampled = Request.TraceSampled;
-  obs::ScopedSpanContext CtxGuard(Ctx);
-  obs::TraceSpan JobSpan("job", "service");
-  JobSpan.arg("dequeue_seq", static_cast<double>(DequeueSeq));
+                                         JobResult &R,
+                                         Clock::time_point T0) {
   const taskgraph::TaskGraph &G = *Request.Graph;
-  JobSpan.arg("graph_tasks", static_cast<double>(G.Nodes.size()));
-  auto T0 = Clock::now();
-  JobResult R;
-  R.Id = Request.Id;
-  R.QueueSeconds = QueueSeconds;
-  R.DequeueSeq = DequeueSeq;
-
-  auto finish = [&](JobStatus Status, std::string Reason = "") {
-    R.Status = Status;
-    R.Reason = std::move(Reason);
-    R.TotalSeconds = QueueSeconds + secondsSince(T0);
-    ServiceMetrics &M = serviceMetrics();
-    M.Queue.observe(R.QueueSeconds);
-    M.Total.observe(R.TotalSeconds);
-    if (R.ProfileSeconds > 0.0 || Status == JobStatus::Done)
-      M.Profile.observe(R.ProfileSeconds);
-    if (R.BoundSeconds > 0.0 || Status == JobStatus::Done)
-      M.Bound.observe(R.BoundSeconds);
-    if (Status == JobStatus::Done && !R.CacheHit && !R.SharedFlight) {
-      M.Solve.observe(R.SolveSeconds);
-      M.Serialize.observe(R.SerializeSeconds);
-    }
-    return R;
-  };
 
   // Stage 0: validation. The JSON codec validates graphs it parses, but
   // in-process callers can hand the service anything.
   if (!Request.Workload.empty() || !Request.Categories.empty())
-    return finish(JobStatus::Failed,
-                  "graph requests must not carry workload/categories");
+    return finishJob(R, T0, JobStatus::Failed,
+                     "graph requests must not carry workload/categories");
   ErrorOr<bool> Valid = taskgraph::validateGraph(G);
   if (!Valid)
-    return finish(JobStatus::Failed, Valid.message());
+    return finishJob(R, T0, JobStatus::Failed, Valid.message());
   if (G.DeadlineSeconds <= 0.0 && G.DeadlineTightness < 0.0)
-    return finish(JobStatus::Failed,
-                  "graph deadline tightness must be nonnegative");
-  if (Request.NumLevels != 0 &&
-      (Request.NumLevels < 2 || Request.NumLevels > 64))
-    return finish(JobStatus::Failed,
-                  "voltage level count must be 0 (XScale table) or in "
-                  "[2, 64]");
-  if (Request.CapacitanceF < 0.0)
-    return finish(JobStatus::Failed,
-                  "regulator capacitance must be nonnegative");
+    return finishJob(R, T0, JobStatus::Failed,
+                     "graph deadline tightness must be nonnegative");
+  std::string KnobError = modeKnobError(Request);
+  if (!KnobError.empty())
+    return finishJob(R, T0, JobStatus::Failed, KnobError);
 
-  ModeTable Modes =
-      Request.NumLevels == 0
-          ? ModeTable::xscale3()
-          : ModeTable::evenVoltageLevels(Request.NumLevels, 0.7, 1.65,
-                                         VfModel::paperDefault());
+  ModeTable Modes = modeTableOf(Request);
+  std::string ModesKey = modeTableDigest(Modes);
 
   // Stage 1: per-node profiles through the shared memoized cache; a
   // graph reusing one workload profiles it once.
   taskgraph::TaskCosts Costs;
   {
     obs::TraceSpan Span("profile", "service");
-    std::string ModesKey = modeTableDigest(Modes);
     Costs.TimeAtMode.reserve(G.Nodes.size());
     Costs.EnergyAtMode.reserve(G.Nodes.size());
     for (const taskgraph::TaskNode &N : G.Nodes) {
       ErrorOr<std::shared_ptr<const Profile>> P = profileOne(
           N.Workload, N.Input, Modes, ModesKey, &R.ProfileSeconds);
       if (!P)
-        return finish(JobStatus::Failed,
-                      "task '" + N.Name + "': " + P.message());
+        return finishJob(R, T0, JobStatus::Failed,
+                         "task '" + N.Name + "': " + P.message());
       Costs.TimeAtMode.push_back((*P)->TotalTimeAtMode);
       Costs.EnergyAtMode.push_back((*P)->TotalEnergyAtMode);
     }
@@ -843,10 +782,10 @@ JobResult SchedulerService::executeGraph(const JobRequest &Request,
                         : TFast + G.DeadlineTightness * (TSlow - TFast);
   if (Deadline < TFast * (1.0 - 1e-12)) {
     R.BoundSeconds = nanosToSeconds(monotonicNanos() - BoundT0);
-    return finish(JobStatus::Infeasible,
-                  "graph deadline " + std::to_string(Deadline * 1e3) +
-                      " ms is below the all-fastest critical path " +
-                      std::to_string(TFast * 1e3) + " ms");
+    return finishJob(R, T0, JobStatus::Infeasible,
+                     "graph deadline " + std::to_string(Deadline * 1e3) +
+                         " ms is below the all-fastest critical path " +
+                         std::to_string(TFast * 1e3) + " ms");
   }
   R.DeadlineSeconds = Deadline;
   {
@@ -862,7 +801,7 @@ JobResult SchedulerService::executeGraph(const JobRequest &Request,
     Fingerprint128 GF = taskgraph::fingerprintTaskGraph(G);
     H.add(GF.Hi);
     H.add(GF.Lo);
-    H.add(modeTableDigest(Modes));
+    H.add(ModesKey);
     H.add(Deadline);
     H.add(static_cast<uint64_t>(Request.GraphReplan ? 1 : 0));
     Fingerprint128 F;
@@ -872,23 +811,14 @@ JobResult SchedulerService::executeGraph(const JobRequest &Request,
   R.BoundSeconds = nanosToSeconds(monotonicNanos() - BoundT0);
   BoundSpan.end();
 
+  GraphMetrics &GM = graphMetrics();
+  GM.Jobs.inc();
+  GM.Tasks.inc(static_cast<double>(G.Nodes.size()));
+
   double LowerBound = R.LowerBoundJoules;
-  std::string TransientError;
-  obs::TraceSpan SolveSpan("solve", "service");
-  ResultCache::Lookup L = Cache.getOrCompute(
-      R.Fingerprint,
-      [&]() -> std::shared_ptr<const CachedSchedule> {
-        if (Opts.PeerFill) {
-          obs::TraceSpan FillSpan("peer_fill", "service");
-          std::shared_ptr<const CachedSchedule> Fetched =
-              Opts.PeerFill(Request, R.Fingerprint);
-          FillSpan.arg("hit", Fetched ? 1.0 : 0.0);
-          if (Fetched) {
-            std::lock_guard<std::mutex> Lock(StatsMu);
-            ++Counters.PeerFills;
-            return Fetched;
-          }
-        }
+  return solveAndFinish(
+      Request, R, T0,
+      [&](std::string &) -> std::shared_ptr<const CachedSchedule> {
         taskgraph::OnlineOptions OO;
         OO.Replan = Request.GraphReplan;
         OO.Planner.Milp.NumThreads = Opts.MilpThreadsPerJob;
@@ -933,47 +863,4 @@ JobResult SchedulerService::executeGraph(const JobRequest &Request,
         }
         return C;
       });
-  SolveSpan.arg("cache_hit", L.Hit ? 1.0 : 0.0);
-  SolveSpan.arg("shared_flight", L.Shared ? 1.0 : 0.0);
-  SolveSpan.end();
-
-  GraphMetrics &GM = graphMetrics();
-  GM.Jobs.inc();
-  GM.Tasks.inc(static_cast<double>(G.Nodes.size()));
-
-  R.CacheHit = L.Hit;
-  R.SharedFlight = L.Shared;
-  if (!L.Value)
-    return finish(JobStatus::Failed,
-                  TransientError.empty()
-                      ? std::string("shared solve failed; retry")
-                      : TransientError);
-  R.ScheduleText = L.Value->ScheduleText;
-  R.PredictedEnergyJoules = L.Value->PredictedEnergyJoules;
-  R.Milp = L.Value->Milp;
-  R.SolveSeconds = L.Value->SolveSeconds;
-  R.SerializeSeconds = L.Value->SerializeSeconds;
-  R.VerifySeconds = L.Value->VerifySeconds;
-  R.VerifyErrors = L.Value->VerifyErrors;
-  R.VerifyDetail = L.Value->VerifyDetail;
-  R.Replans = L.Value->Replans >= 0 ? L.Value->Replans : 0;
-  R.ReplansAccepted = L.Value->ReplansAccepted;
-  R.StaticEnergyJoules = L.Value->StaticEnergyJoules;
-  R.ActualEnergyJoules = L.Value->ActualEnergyJoules;
-  R.MakespanSeconds = L.Value->MakespanSeconds;
-  if (!L.Value->Feasible)
-    return finish(JobStatus::Infeasible, L.Value->Reason);
-  if (R.VerifyErrors > 0) {
-    serviceMetrics().VerifyFailures.inc();
-    {
-      std::lock_guard<std::mutex> Lock(StatsMu);
-      ++Counters.VerifyFailures;
-    }
-    if (Opts.Verify == VerifyMode::Strict)
-      return finish(JobStatus::Failed,
-                    "verification failed (" +
-                        std::to_string(R.VerifyErrors) + " errors): " +
-                        R.VerifyDetail);
-  }
-  return finish(JobStatus::Done);
 }

@@ -8,11 +8,12 @@
 /// An in-process scheduling service that turns the reproduction into a
 /// servable system: callers submit DVS jobs (service/Job.h) and get
 /// futures of serialized schedules. Each accepted job runs a staged
-/// pipeline on a persistent support/TaskPool:
+/// pipeline on one of the service's own worker threads:
 ///
 ///   1. profile   — resolve the workload, collect per-mode profiles
-///                  (memoized: identical (workload, input, mode table)
-///                  tuples profile once per service);
+///                  (memoized single-flight: identical (workload, input,
+///                  mode table) tuples profile once per service, however
+///                  many workers race on them);
 ///   2. bound     — resolve the deadline, reject infeasible deadlines
 ///                  early, compute the deadline-free energy lower bound
 ///                  (every block at its cheapest mode);
@@ -20,6 +21,11 @@
 ///                  (milp/Fingerprint.h) and solve through the
 ///                  content-addressed ResultCache, so repeated and
 ///                  concurrent identical instances cost one MILP.
+///
+/// Every memo here — results, profiles, static analyses — is a
+/// service/SingleFlight.h instance. Job counters live only in the
+/// process metrics registry (the cdvs_jobs_* families); per-instance
+/// counts come from cacheStats() and profileStats().
 ///
 /// Admission control and backpressure: the pending queue is bounded
 /// (ServiceOptions::QueueCapacity); submissions beyond it complete
@@ -43,16 +49,20 @@
 #include "profile/Profile.h"
 #include "service/Job.h"
 #include "service/ResultCache.h"
+#include "service/SingleFlight.h"
 #include "support/Error.h"
-#include "support/ThreadPool.h"
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
 #include <functional>
 #include <future>
 #include <map>
 #include <memory>
+#include <mutex>
 #include <string>
+#include <thread>
+#include <vector>
 
 namespace cdvs {
 
@@ -104,23 +114,6 @@ struct ServiceOptions {
   PeerFillFn PeerFill;
 };
 
-/// Service-level counters (cache counters live in CacheStats).
-struct ServiceStats {
-  long Submitted = 0; ///< accepted into the queue
-  long Rejected = 0;  ///< refused at admission
-  long Completed = 0; ///< finished Done
-  long Infeasible = 0;
-  long Failed = 0;
-  long ProfileCacheHits = 0;
-  long ProfileCacheMisses = 0;
-  /// Jobs whose post-solve verification drew at least one error.
-  long VerifyFailures = 0;
-  /// Cache misses satisfied by a peer fetch instead of a cold solve.
-  long PeerFills = 0;
-  /// Deepest the admission queue has been (backpressure headroom).
-  size_t PeakQueueDepth = 0;
-};
-
 /// The batch DVS-scheduling service; see the file comment.
 class SchedulerService {
 public:
@@ -130,9 +123,9 @@ public:
   SchedulerService(const SchedulerService &) = delete;
   SchedulerService &operator=(const SchedulerService &) = delete;
 
-  /// Submits one job. Admission happens synchronously: the returned
-  /// future is already resolved (Rejected) when the queue is full or the
-  /// service is shutting down.
+  /// Submits one job through submitAsync(). Admission happens
+  /// synchronously: the returned future is already resolved (Rejected)
+  /// when the queue is full or the service is shutting down.
   std::future<JobResult> submit(JobRequest Request);
 
   /// Callback-style submission for event-driven callers (the network
@@ -155,12 +148,15 @@ public:
   /// Releases paused workers.
   void resume();
 
-  /// Drains accepted work, then stops the workers. Idempotent; new
-  /// submissions are rejected once shutdown begins.
+  /// Drains accepted work, then joins the workers. Idempotent and safe
+  /// to call from several threads at once: every call returns only
+  /// after the drain. New submissions are rejected once shutdown begins.
   void shutdown();
 
-  ServiceStats stats() const;
-  CacheStats cacheStats() const;
+  CacheStats cacheStats() const { return Cache.stats(); }
+  /// The profile memo's counters: one miss per distinct (workload,
+  /// input, mode table) collected, shared flights for racing workers.
+  CacheStats profileStats() const { return Profiles.stats(); }
   /// Non-computing result-cache probe by fingerprint hex — what a
   /// PeerFetch frame answers with (net::Server). Does not touch cache
   /// counters or recency.
@@ -168,35 +164,42 @@ public:
   cachePeek(const std::string &FingerprintHex) const {
     return Cache.peek(FingerprintHex);
   }
-  /// Queue-pressure counters of the underlying TaskPool.
-  PoolStats poolStats() const { return Pool.stats(); }
 
 private:
+  using Clock = std::chrono::steady_clock;
+
   struct PendingJob {
     JobRequest Request;
-    /// Exactly one completion channel is used: OnDone when nonempty
-    /// (submitAsync), the promise otherwise (submit).
-    std::promise<JobResult> Promise;
     std::function<void(JobResult)> OnDone;
-    std::chrono::steady_clock::time_point Enqueued;
+    Clock::time_point Enqueued;
   };
   /// Priority key: (urgency, admission sequence) — smaller runs first.
   using QueueKey = std::pair<double, long>;
 
   void workerLoop();
-  /// Shared admission path of submit/submitAsync: enqueues \p Job
-  /// (moving from it) or returns the nonempty rejection reason
-  /// (backpressure, shutdown), leaving \p Job with the caller.
-  std::string admit(std::unique_ptr<PendingJob> &Job);
+  /// Installs the request's trace context and the job span, then runs
+  /// the single-program or the task-graph pipeline.
   JobResult execute(const JobRequest &Request, double QueueSeconds,
                     long DequeueSeq);
+  /// The single-program pipeline; \p R carries the queue stamps and
+  /// \p T0 is the job's start.
+  JobResult executeProgram(const JobRequest &Request, JobResult &R,
+                           Clock::time_point T0);
   /// The task-graph pipeline (Request.Graph != nullptr): per-node
   /// profiles through the same memoized profile cache, a critical-path
   /// bound stage, then the static plan + online slack-reclamation run
   /// through the result cache keyed on the graph fingerprint, verified
   /// by verify::checkTaskPlan under Opts.Verify.
-  JobResult executeGraph(const JobRequest &Request, double QueueSeconds,
-                         long DequeueSeq);
+  JobResult executeGraph(const JobRequest &Request, JobResult &R,
+                         Clock::time_point T0);
+  /// The shared last stage of both pipelines: solve R.Fingerprint
+  /// through the result cache (peer fill first when configured, else
+  /// \p Solve, which may name a transient failure in its string
+  /// argument and return nullptr), copy the cached outcome into \p R,
+  /// and finish the job with its verify verdict.
+  template <typename SolveFn>
+  JobResult solveAndFinish(const JobRequest &Request, JobResult &R,
+                           Clock::time_point T0, SolveFn &&Solve);
   /// Stage 1. \returns the per-category profiles (memoized) or an error.
   ErrorOr<std::vector<CategoryProfile>>
   profileStage(const JobRequest &Request, const ModeTable &Modes,
@@ -212,6 +215,13 @@ private:
   ServiceOptions Opts;
   ResultCache Cache;
 
+  /// (workload|input|modes digest) -> collected profile. Grows with the
+  /// distinct profiled inputs — a handful per workload — so unbounded is
+  /// the right bound.
+  SingleFlight<Profile> Profiles;
+  /// workload -> static CFG analysis (the analyze stage), likewise.
+  SingleFlight<analysis::FunctionAnalysis> Analyses;
+
   mutable std::mutex Mu;
   std::condition_variable Cv;
   std::map<QueueKey, std::unique_ptr<PendingJob>> Queue;
@@ -219,24 +229,11 @@ private:
   bool Stopping = false;
   long AdmitSeq = 0;
 
-  /// (workload|input|modes digest) -> collected profile. Grows with the
-  /// distinct profiled inputs — a handful per workload — so unbounded is
-  /// the right bound.
-  std::map<std::string, std::shared_ptr<const Profile>> ProfileCache;
-  std::mutex ProfileMu;
-
-  /// workload -> static CFG analysis, computed once per service (the
-  /// analyze stage); immutable and shared across workers.
-  std::map<std::string, std::shared_ptr<const analysis::FunctionAnalysis>>
-      AnalysisCache;
-  std::mutex AnalysisMu;
-
   std::atomic<long> DequeueSeq{0};
-  mutable std::mutex StatsMu;
-  ServiceStats Counters;
 
-  /// Workers run as long-lived pool tasks; the pool outlives the queue.
-  TaskPool Pool;
+  std::once_flag ShutdownOnce;
+  /// Declared last: the workers use every member above.
+  std::vector<std::thread> Workers;
 };
 
 } // namespace cdvs

@@ -6,8 +6,8 @@
 
 #include "support/ThreadPool.h"
 
+#include <algorithm>
 #include <atomic>
-#include <utility>
 
 using namespace cdvs;
 
@@ -54,70 +54,4 @@ void cdvs::parallelFor(int End, int NumThreads,
       Body(I);
     }
   });
-}
-
-TaskPool::TaskPool(int NumThreads) : Num(resolveThreads(NumThreads)) {
-  Threads.reserve(Num);
-  for (int W = 0; W < Num; ++W)
-    Threads.emplace_back([this] { workerLoop(); });
-}
-
-TaskPool::~TaskPool() { shutdown(); }
-
-bool TaskPool::submit(std::function<void()> Task) {
-  {
-    std::lock_guard<std::mutex> Lock(Mu);
-    if (Stop)
-      return false;
-    Queue.push_back({std::move(Task), monotonicNanos()});
-    ++Counters.TasksSubmitted;
-    if (Queue.size() > Counters.PeakQueueDepth)
-      Counters.PeakQueueDepth = Queue.size();
-  }
-  Cv.notify_one();
-  return true;
-}
-
-void TaskPool::shutdown() {
-  // Claim the thread list under the lock so concurrent shutdown() calls
-  // never join the same thread twice: exactly one caller gets the
-  // non-empty vector, everyone else joins nothing.
-  std::vector<std::thread> ToJoin;
-  {
-    std::lock_guard<std::mutex> Lock(Mu);
-    Stop = true;
-    ToJoin.swap(Threads);
-  }
-  Cv.notify_all();
-  for (std::thread &T : ToJoin)
-    T.join();
-}
-
-bool TaskPool::stopped() const {
-  std::lock_guard<std::mutex> Lock(Mu);
-  return Stop;
-}
-
-void TaskPool::workerLoop() {
-  for (;;) {
-    std::function<void()> Task;
-    {
-      std::unique_lock<std::mutex> Lock(Mu);
-      Cv.wait(Lock, [this] { return Stop || !Queue.empty(); });
-      if (Queue.empty())
-        return; // Stop set and nothing left to drain
-      Counters.TotalWaitSeconds +=
-          nanosToSeconds(monotonicNanos() - Queue.front().EnqueuedNs);
-      Task = std::move(Queue.front().Fn);
-      Queue.pop_front();
-    }
-    Task();
-    std::lock_guard<std::mutex> Lock(Mu);
-    ++Counters.TasksExecuted;
-  }
-}
-
-PoolStats TaskPool::stats() const {
-  std::lock_guard<std::mutex> Lock(Mu);
-  return Counters;
 }

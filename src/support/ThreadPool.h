@@ -16,10 +16,7 @@
 #ifndef CDVS_SUPPORT_THREADPOOL_H
 #define CDVS_SUPPORT_THREADPOOL_H
 
-#include "support/Clock.h"
-
 #include <atomic>
-#include <condition_variable>
 #include <deque>
 #include <functional>
 #include <mutex>
@@ -49,17 +46,6 @@ void runOnWorkers(int NumThreads, const std::function<void(int)> &Body);
 /// pre-sized vector is safe).
 void parallelFor(int End, int NumThreads,
                  const std::function<void(int)> &Body);
-
-/// Observability counters of one TaskPool, snapshot via stats().
-/// PeakQueueDepth and TotalWaitSeconds make queueing pressure visible:
-/// a deep queue with long waits means the pool is undersized, a flat
-/// one that the submit path itself is the bottleneck.
-struct PoolStats {
-  long TasksSubmitted = 0; ///< accepted by submit()
-  long TasksExecuted = 0;  ///< finished running
-  size_t PeakQueueDepth = 0;
-  double TotalWaitSeconds = 0.0; ///< enqueue -> dequeue, summed
-};
 
 /// Per-worker LIFO deques with front-stealing — the scheduling policy of
 /// the branch-and-bound extracted so any owner of worker loops can reuse
@@ -132,65 +118,6 @@ private:
   std::deque<Deque> Deques; ///< deque: Deque holds a mutex, is immovable
   std::atomic<long> Steals{0};
   std::atomic<size_t> PeakDepth{0};
-};
-
-/// A persistent task pool for long-lived components (the scheduling
-/// service): N worker threads drain a FIFO of submitted closures. Unlike
-/// runOnWorkers this owns its threads for the pool's whole lifetime, so
-/// submitters never pay thread spawn cost.
-///
-/// Lifecycle rules are fully defined (no UB corners):
-///  * submit() after shutdown() returns false and drops the task;
-///  * shutdown() is idempotent — the second and later calls (from any
-///    thread) are no-ops;
-///  * shutdown() drains: tasks already queued still run before the
-///    workers exit, and the call returns only once they have;
-///  * the destructor calls shutdown().
-///
-/// Tasks must not throw. A task may submit further tasks, but a task
-/// submitted by a task racing with shutdown() may be dropped (submit
-/// reports this by returning false).
-class TaskPool {
-public:
-  /// Spawns resolveThreads(\p NumThreads) workers.
-  explicit TaskPool(int NumThreads = 0);
-  ~TaskPool();
-
-  TaskPool(const TaskPool &) = delete;
-  TaskPool &operator=(const TaskPool &) = delete;
-
-  /// Enqueues \p Task; \returns false (without running or keeping the
-  /// task) when the pool has been shut down.
-  bool submit(std::function<void()> Task);
-
-  /// Stops accepting work, runs everything still queued, and joins the
-  /// workers. Safe to call repeatedly and from multiple threads.
-  void shutdown();
-
-  /// True once shutdown() has begun.
-  bool stopped() const;
-
-  /// The configured worker count (constant over the pool's lifetime).
-  int numThreads() const { return Num; }
-
-  /// Queue-pressure counters; cheap enough to call at any time.
-  PoolStats stats() const;
-
-private:
-  void workerLoop();
-
-  struct QueuedTask {
-    std::function<void()> Fn;
-    uint64_t EnqueuedNs = 0;
-  };
-
-  mutable std::mutex Mu;
-  std::condition_variable Cv;
-  std::deque<QueuedTask> Queue;
-  std::vector<std::thread> Threads;
-  int Num;
-  bool Stop = false;
-  PoolStats Counters; ///< guarded by Mu
 };
 
 } // namespace cdvs

@@ -14,6 +14,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include <cmath>
 
 using namespace cdvs;
@@ -128,6 +130,31 @@ TEST(SimplexWarmStart, BasisRoundTripSeedsAnotherEngine) {
   // fallback.
   EXPECT_EQ(C.coldSolves(), 0);
   EXPECT_EQ(C.warmSolves(), 1);
+}
+
+TEST(SimplexWarmStart, LoadedBasisKeepsItsColumns) {
+  // Regression: the rebuild pivoted each basic column on the row it was
+  // basic in, where the raw matrix can hold a zero, and silently swapped
+  // in other columns. Re-entering an optimal basis must keep the basic
+  // set, so the warm solve that follows needs no pivot at all.
+  for (unsigned Seed = 1; Seed <= 20; ++Seed) {
+    LpProblem P = makeRandomLp(12, 6, Seed);
+    SimplexBasis B;
+    LpSolution Cold = SimplexSolver(P).solve(B);
+    if (Cold.Status != LpStatus::Optimal)
+      continue;
+    SimplexEngine E(P);
+    ASSERT_TRUE(E.loadBasis(B)) << "seed " << Seed;
+    SimplexBasis Loaded;
+    E.exportBasis(Loaded);
+    std::vector<int> Want = B.BasisOfRow, Got = Loaded.BasisOfRow;
+    std::sort(Want.begin(), Want.end());
+    std::sort(Got.begin(), Got.end());
+    EXPECT_EQ(Got, Want) << "seed " << Seed;
+    LpSolution Warm = E.solve();
+    ASSERT_EQ(Warm.Status, LpStatus::Optimal) << "seed " << Seed;
+    EXPECT_EQ(Warm.Iterations, 0) << "seed " << Seed;
+  }
 }
 
 TEST(SimplexWarmStart, SolverExportsBasisThatReenters) {

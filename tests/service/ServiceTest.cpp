@@ -11,6 +11,8 @@
 #include "service/Service.h"
 
 #include "dvs/ScheduleIO.h"
+#include "obs/Metrics.h"
+#include "taskgraph/TaskGraph.h"
 #include "workloads/Workloads.h"
 
 #include <gtest/gtest.h>
@@ -19,10 +21,25 @@
 #include <chrono>
 #include <future>
 #include <memory>
+#include <thread>
 
 using namespace cdvs;
 
 namespace {
+
+/// A process-wide registry counter read as its rise since construction.
+/// Job counters live only in the registry, which every service in the
+/// process shares, so tests compare deltas.
+class CounterDelta {
+public:
+  explicit CounterDelta(const char *Name)
+      : C(obs::metrics().counter(Name, "")), Base(C.value()) {}
+  long operator()() const { return static_cast<long>(C.value() - Base); }
+
+private:
+  obs::Counter &C;
+  double Base;
+};
 
 JobRequest gsmJob(const std::string &Id, double Tightness = 0.5) {
   JobRequest R;
@@ -34,6 +51,9 @@ JobRequest gsmJob(const std::string &Id, double Tightness = 0.5) {
 
 TEST(Service, SolvesAJobEndToEnd) {
   SchedulerService Service;
+  CounterDelta Submitted("cdvs_jobs_submitted_total");
+  CounterDelta Completed("cdvs_jobs_completed_total");
+  CounterDelta Rejected("cdvs_jobs_rejected_total");
   JobResult R = Service.submit(gsmJob("one")).get();
   ASSERT_EQ(R.Status, JobStatus::Done) << R.Reason;
   EXPECT_EQ(R.Id, "one");
@@ -51,10 +71,9 @@ TEST(Service, SolvesAJobEndToEnd) {
   ASSERT_TRUE(A.hasValue()) << A.message();
   EXPECT_EQ(writeSchedule(*A), R.ScheduleText);
 
-  ServiceStats S = Service.stats();
-  EXPECT_EQ(S.Submitted, 1);
-  EXPECT_EQ(S.Completed, 1);
-  EXPECT_EQ(S.Rejected, 0);
+  EXPECT_EQ(Submitted(), 1);
+  EXPECT_EQ(Completed(), 1);
+  EXPECT_EQ(Rejected(), 0);
 }
 
 TEST(Service, ResubmissionHitsTheCacheByteIdentically) {
@@ -69,8 +88,8 @@ TEST(Service, ResubmissionHitsTheCacheByteIdentically) {
   EXPECT_EQ(Second.PredictedEnergyJoules, First.PredictedEnergyJoules);
   EXPECT_EQ(Service.cacheStats().Hits, 1);
   // Profiles were memoized too: one collection served both jobs.
-  EXPECT_EQ(Service.stats().ProfileCacheMisses, 1);
-  EXPECT_EQ(Service.stats().ProfileCacheHits, 1);
+  EXPECT_EQ(Service.profileStats().Misses, 1);
+  EXPECT_EQ(Service.profileStats().Hits, 1);
 }
 
 TEST(Service, DifferentKnobsMissTheCache) {
@@ -91,6 +110,7 @@ TEST(Service, RejectsWhenTheQueueIsFull) {
   O.QueueCapacity = 2;
   O.StartPaused = true;
   SchedulerService Service(O);
+  CounterDelta Rejections("cdvs_jobs_rejected_total");
   std::future<JobResult> A = Service.submit(gsmJob("a"));
   std::future<JobResult> B = Service.submit(gsmJob("b"));
   std::future<JobResult> Rejected = Service.submit(gsmJob("c"));
@@ -107,7 +127,7 @@ TEST(Service, RejectsWhenTheQueueIsFull) {
   EXPECT_EQ(A.get().Status, JobStatus::Done);
   EXPECT_EQ(B.get().Status, JobStatus::Done);
   EXPECT_EQ(Service.submit(gsmJob("d")).get().Status, JobStatus::Done);
-  EXPECT_EQ(Service.stats().Rejected, 1);
+  EXPECT_EQ(Rejections(), 1);
 }
 
 TEST(Service, DequeuesByDeadlineUrgency) {
@@ -151,12 +171,13 @@ TEST(Service, AbsoluteDeadlinesOutrankTightness) {
 
 TEST(Service, ReportsInfeasibleDeadlines) {
   SchedulerService Service;
+  CounterDelta Infeasible("cdvs_jobs_infeasible_total");
   JobRequest R = gsmJob("impossible");
   R.DeadlineSeconds = 1e-9; // below the fastest single-mode time
   JobResult Res = Service.submit(R).get();
   EXPECT_EQ(Res.Status, JobStatus::Infeasible);
   EXPECT_NE(Res.Reason.find("deadline"), std::string::npos);
-  EXPECT_EQ(Service.stats().Infeasible, 1);
+  EXPECT_EQ(Infeasible(), 1);
 }
 
 TEST(Service, FailsUnknownWorkloadAndInput) {
@@ -208,7 +229,7 @@ TEST(Service, WeightedCategoriesSolveAndReport) {
   ASSERT_EQ(Res.Status, JobStatus::Done) << Res.Reason;
   EXPECT_LE(Res.LowerBoundJoules, Res.PredictedEnergyJoules);
   // Two categories, one workload: two profile collections.
-  EXPECT_EQ(Service.stats().ProfileCacheMisses, 2);
+  EXPECT_EQ(Service.profileStats().Misses, 2);
 }
 
 TEST(Service, RunBatchPreservesRequestOrder) {
@@ -224,7 +245,7 @@ TEST(Service, RunBatchPreservesRequestOrder) {
     EXPECT_EQ(R.Status, JobStatus::Done) << R.Id << ": " << R.Reason;
 }
 
-TEST(Service, ReportsStageLatenciesAndPoolStats) {
+TEST(Service, ReportsStageLatencies) {
   SchedulerService Service;
   JobResult Cold = Service.submit(gsmJob("cold")).get();
   ASSERT_EQ(Cold.Status, JobStatus::Done) << Cold.Reason;
@@ -245,11 +266,6 @@ TEST(Service, ReportsStageLatenciesAndPoolStats) {
   EXPECT_TRUE(Warm.CacheHit);
   EXPECT_EQ(Warm.SolveSeconds, Cold.SolveSeconds);
   EXPECT_EQ(Warm.SerializeSeconds, Cold.SerializeSeconds);
-
-  PoolStats PS = Service.poolStats();
-  // The workers are long-lived pool tasks: one submission per worker.
-  EXPECT_EQ(PS.TasksSubmitted, Service.poolStats().TasksSubmitted);
-  EXPECT_GE(PS.TasksSubmitted, 1);
 }
 
 TEST(Service, TracksPeakQueueDepth) {
@@ -257,15 +273,22 @@ TEST(Service, TracksPeakQueueDepth) {
   O.NumWorkers = 1;
   O.StartPaused = true;
   SchedulerService Service(O);
+  // Both gauges are process-wide; the peak is a max over every service
+  // this process ran, so it can only be bounded from below here.
+  obs::Gauge &Depth = obs::metrics().gauge("cdvs_admission_queue_depth", "");
+  obs::Gauge &Peak =
+      obs::metrics().gauge("cdvs_admission_queue_depth_peak", "");
   std::vector<std::future<JobResult>> Fs;
   for (int I = 0; I < 3; ++I)
     Fs.push_back(Service.submit(gsmJob("q" + std::to_string(I))));
-  EXPECT_EQ(Service.stats().PeakQueueDepth, 3u);
+  EXPECT_EQ(Depth.value(), 3.0);
+  EXPECT_GE(Peak.value(), 3.0);
   Service.resume();
   for (auto &F : Fs)
     EXPECT_EQ(F.get().Status, JobStatus::Done);
+  EXPECT_EQ(Depth.value(), 0.0);
   // Peak is monotone: draining must not lower it.
-  EXPECT_EQ(Service.stats().PeakQueueDepth, 3u);
+  EXPECT_GE(Peak.value(), 3.0);
 }
 
 TEST(Service, VerifyModesParseAndRoundTrip) {
@@ -283,17 +306,19 @@ TEST(Service, VerifyModesParseAndRoundTrip) {
 
 TEST(Service, VerifyOffLeavesResultsUnaudited) {
   SchedulerService Service; // Verify defaults to Off
+  CounterDelta VerifyFailures("cdvs_verify_failures_total");
   JobResult R = Service.submit(gsmJob("plain")).get();
   ASSERT_EQ(R.Status, JobStatus::Done) << R.Reason;
   EXPECT_EQ(R.VerifyErrors, -1);
   EXPECT_EQ(R.VerifyDetail, "");
-  EXPECT_EQ(Service.stats().VerifyFailures, 0);
+  EXPECT_EQ(VerifyFailures(), 0);
 }
 
 TEST(Service, StrictVerifyPassesCleanSolvesAndCachesTheVerdict) {
   ServiceOptions O;
   O.Verify = VerifyMode::Strict;
   SchedulerService Service(O);
+  CounterDelta VerifyFailures("cdvs_verify_failures_total");
   JobResult Cold = Service.submit(gsmJob("cold")).get();
   ASSERT_EQ(Cold.Status, JobStatus::Done) << Cold.Reason;
   EXPECT_EQ(Cold.VerifyErrors, 0) << Cold.VerifyDetail;
@@ -305,7 +330,27 @@ TEST(Service, StrictVerifyPassesCleanSolvesAndCachesTheVerdict) {
   EXPECT_TRUE(Warm.CacheHit);
   EXPECT_EQ(Warm.VerifyErrors, 0);
   EXPECT_EQ(Warm.VerifySeconds, Cold.VerifySeconds);
-  EXPECT_EQ(Service.stats().VerifyFailures, 0);
+  EXPECT_EQ(VerifyFailures(), 0);
+}
+
+TEST(Service, StrictVerifyAcceptsTheWarmStartedOptimum) {
+  // Regression: with presolve on, this instance's warm-started node LPs
+  // once settled on a tableau-drifted vertex; the search then claimed
+  // 335.575 uJ as optimal and strict verification recomputed 329.810.
+  ServiceOptions O;
+  O.NumWorkers = 1;
+  O.Verify = VerifyMode::Strict;
+  SchedulerService Service(O);
+  JobRequest R;
+  R.Id = "drift";
+  R.Workload = "adpcm";
+  R.Categories.push_back({"rossini", 1.0});
+  R.NumLevels = 4;
+  R.DeadlineTightness = 0.254456;
+  JobResult Res = Service.submit(R).get();
+  ASSERT_EQ(Res.Status, JobStatus::Done) << Res.Reason;
+  EXPECT_EQ(Res.VerifyErrors, 0) << Res.VerifyDetail;
+  EXPECT_NEAR(Res.PredictedEnergyJoules * 1e6, 329.810, 5e-4);
 }
 
 TEST(Service, WarnVerifyAuditsABatch) {
@@ -314,6 +359,7 @@ TEST(Service, WarnVerifyAuditsABatch) {
   ServiceOptions O;
   O.Verify = VerifyMode::Warn;
   SchedulerService Service(O);
+  CounterDelta VerifyFailures("cdvs_verify_failures_total");
   std::vector<JobRequest> Batch = {gsmJob("g1", 0.3), gsmJob("g2", 0.7)};
   JobRequest A;
   A.Id = "a1";
@@ -324,7 +370,7 @@ TEST(Service, WarnVerifyAuditsABatch) {
     ASSERT_EQ(R.Status, JobStatus::Done) << R.Id << ": " << R.Reason;
     EXPECT_EQ(R.VerifyErrors, 0) << R.Id << ": " << R.VerifyDetail;
   }
-  EXPECT_EQ(Service.stats().VerifyFailures, 0);
+  EXPECT_EQ(VerifyFailures(), 0);
 }
 
 TEST(Service, ShutdownDrainsThenRejects) {
@@ -357,12 +403,14 @@ TEST(Service, ShutdownWithUncollectedFuturesNeitherLeaksNorDeadlocks) {
   O.NumWorkers = 2;
   O.StartPaused = true; // everything still queued when shutdown starts
   auto Service = std::make_unique<SchedulerService>(O);
+  CounterDelta Submitted("cdvs_jobs_submitted_total");
+  CounterDelta Completed("cdvs_jobs_completed_total");
   for (int I = 0; I < 6; ++I)
     (void)Service->submit(gsmJob("orphan" + std::to_string(I)));
-  ASSERT_EQ(Service->stats().Submitted, 6);
+  ASSERT_EQ(Submitted(), 6);
   Service->resume();
   Service->shutdown(); // drains all six with nobody waiting
-  EXPECT_EQ(Service->stats().Completed, 6);
+  EXPECT_EQ(Completed(), 6);
   Service.reset(); // destructor after explicit shutdown is a no-op
 }
 
@@ -416,6 +464,109 @@ TEST(Service, ShutdownFiresEveryAdmittedAsyncCallback) {
   Service.resume();
   Service.shutdown(); // returns only after every callback ran
   EXPECT_EQ(Fired.load(), N);
+
+  // The destructor shuts down the same way when nobody else did.
+  Fired = 0;
+  {
+    SchedulerService Scoped(O);
+    for (int I = 0; I < N; ++I)
+      ASSERT_TRUE(Scoped.submitAsync(gsmJob("s" + std::to_string(I)),
+                                     [&](JobResult) { ++Fired; }));
+    Scoped.resume();
+  }
+  EXPECT_EQ(Fired.load(), N);
+}
+
+TEST(Service, DoubleShutdownIsNoOp) {
+  ServiceOptions O;
+  O.NumWorkers = 2;
+  SchedulerService Service(O);
+  std::future<JobResult> F = Service.submit(gsmJob("once"));
+  Service.shutdown();
+  Service.shutdown(); // second call: documented no-op
+  EXPECT_EQ(F.get().Status, JobStatus::Done);
+  EXPECT_EQ(Service.submit(gsmJob("late")).get().Status,
+            JobStatus::Rejected);
+}
+
+TEST(Service, ConcurrentShutdownIsSafe) {
+  // Threads race shutdown(): the workers are joined exactly once, and
+  // every caller returns only after the drain (TSan watches this).
+  for (int Round = 0; Round < 10; ++Round) {
+    ServiceOptions O;
+    O.NumWorkers = 4;
+    O.StartPaused = true; // the jobs are still queued when the race starts
+    SchedulerService Service(O);
+    std::atomic<int> Fired{0};
+    for (int I = 0; I < 8; ++I)
+      ASSERT_TRUE(Service.submitAsync(
+          gsmJob("r" + std::to_string(I), 0.3 + 0.05 * I),
+          [&Fired](JobResult) { Fired.fetch_add(1); }));
+    std::vector<std::future<int>> Racers;
+    for (int I = 0; I < 4; ++I)
+      Racers.push_back(std::async(std::launch::async, [&] {
+        Service.shutdown();
+        return Fired.load();
+      }));
+    for (auto &F : Racers)
+      EXPECT_EQ(F.get(), 8);
+  }
+}
+
+TEST(Service, RacingJobsOnOneProfileKeyCollectItOnce) {
+  // Eight jobs share one cold (workload, input, 4-mode table) key and
+  // four workers pick them up at once: one collection (one simulator run
+  // per mode), every other job waits on it or hits the memo.
+  ServiceOptions O;
+  O.NumWorkers = 4;
+  O.StartPaused = true;
+  SchedulerService Service(O);
+  CounterDelta SimRuns("cdvs_sim_runs_total");
+  std::vector<std::future<JobResult>> Fs;
+  for (int I = 0; I < 8; ++I) {
+    JobRequest R;
+    R.Id = "race" + std::to_string(I);
+    R.Workload = "adpcm";
+    R.Categories.push_back({"rossini", 1.0});
+    R.NumLevels = 4;
+    R.DeadlineTightness = 0.2 + 0.05 * I;
+    Fs.push_back(Service.submit(R));
+  }
+  Service.resume();
+  for (auto &F : Fs) {
+    JobResult R = F.get();
+    EXPECT_EQ(R.Status, JobStatus::Done) << R.Id << ": " << R.Reason;
+  }
+  EXPECT_EQ(SimRuns(), 4);
+  CacheStats P = Service.profileStats();
+  EXPECT_EQ(P.Misses, 1);
+  EXPECT_EQ(P.Hits + P.SharedFlights, 7);
+}
+
+TEST(Service, GraphNodesSharingAWorkloadCollectItOnce) {
+  // Three tasks on the same (workload, input): the graph job profiles
+  // that input once and reuses it for the other two nodes.
+  taskgraph::TaskGraph G;
+  G.Name = "same3";
+  for (const char *Name : {"a", "b", "c"}) {
+    taskgraph::TaskNode N;
+    N.Name = Name;
+    N.Workload = "gsm";
+    G.Nodes.push_back(N);
+  }
+  G.Edges = {{0, 1}, {0, 2}};
+  G.DeadlineTightness = 0.5;
+  JobRequest R;
+  R.Id = "graph";
+  R.Graph = std::make_shared<const taskgraph::TaskGraph>(G);
+
+  SchedulerService Service;
+  CounterDelta SimRuns("cdvs_sim_runs_total");
+  JobResult Res = Service.submit(R).get();
+  ASSERT_EQ(Res.Status, JobStatus::Done) << Res.Reason;
+  EXPECT_EQ(SimRuns(), 3); // one run per XScale mode
+  EXPECT_EQ(Service.profileStats().Misses, 1);
+  EXPECT_EQ(Service.profileStats().Hits, 2);
 }
 
 } // namespace

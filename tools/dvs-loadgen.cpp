@@ -5,7 +5,8 @@
 // responses come back (so server-side queueing shows up as latency, not
 // as a slowed-down generator), pipelining on each connection and
 // matching responses by correlation id. Reports throughput and latency
-// quantiles as one JSON record (default BENCH_net.json).
+// quantiles as one JSON record on stdout, and into --benchmark_out=FILE
+// when given (only scripts/bench_*.sh write the tracked BENCH_* files).
 //
 // The default workload is one request repeated, which after the first
 // solve is a pure result-cache hit — the sustained-throughput number
@@ -368,8 +369,9 @@ int main(int argc, char **argv) {
   std::string &SchedulesDir = P.addString(
       "schedules", "",
       "directory for <fingerprint>.cdvs files (byte-identity checks)");
-  std::string &OutPath = P.addString("benchmark_out", "BENCH_net.json",
-                                     "JSON results file ('' = none)");
+  std::string &OutPath = P.addString(
+      "benchmark_out", "",
+      "also write the JSON record to this file (default: stdout only)");
   int &Churn = P.addInt(
       "churn", 0,
       "connection-churn attack threads (connect/drop storms) running "

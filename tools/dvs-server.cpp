@@ -65,24 +65,10 @@ bool writeTextFile(const std::string &Path, const std::string &Text,
   return true;
 }
 
-/// Mirrors the TaskPool's counters into registry gauges (same families
-/// dvsd exports) so the metrics snapshot carries queue-pressure data.
-void exportPoolStats(const PoolStats &PS) {
-  obs::metrics()
-      .gauge("cdvs_pool_tasks_submitted", "Tasks handed to the pool")
-      .set(static_cast<double>(PS.TasksSubmitted));
-  obs::metrics()
-      .gauge("cdvs_pool_tasks_executed", "Tasks the pool finished")
-      .set(static_cast<double>(PS.TasksExecuted));
-  obs::metrics()
-      .gauge("cdvs_pool_peak_queue_depth",
-             "Deepest the pool's task queue has been")
-      .set(static_cast<double>(PS.PeakQueueDepth));
-  obs::metrics()
-      .gauge("cdvs_pool_task_wait_seconds",
-             "Total seconds tasks sat queued before a worker picked "
-             "them up")
-      .set(PS.TotalWaitSeconds);
+/// Reads one of the service's process-wide job counters; the registry is
+/// their only record.
+long jobCounter(const char *Name) {
+  return static_cast<long>(obs::metrics().counter(Name, "").value());
 }
 
 } // namespace
@@ -256,9 +242,8 @@ int main(int argc, char **argv) {
   }
   GServer = nullptr;
   net::ServerStats NS = Server.stats();
-  ServiceStats SS = Server.service().stats();
   CacheStats CS = Server.service().cacheStats();
-  exportPoolStats(Server.service().poolStats());
+  cluster::PeerFillStats FS = Filler ? Filler->stats() : cluster::PeerFillStats();
   Server.stop();
 
   char Buf[1024];
@@ -280,9 +265,12 @@ int main(int argc, char **argv) {
       NS.BytesOut, NS.RejectsSent, NS.ProtocolErrors, NS.IdleCloses,
       NS.RequestTimeouts, NS.ReadPauses, NS.OrphanCompletions,
       NS.LoadSheds, NS.SlowFrameCloses, NS.HandoffAccepts,
-      SS.Submitted, SS.Completed, SS.Rejected, SS.Infeasible, SS.Failed,
-      CS.Hits, CS.Misses, SS.PeerFills,
-      Filler ? Filler->stats().Fetches : 0L, NS.PeerFetches);
+      jobCounter("cdvs_jobs_submitted_total"),
+      jobCounter("cdvs_jobs_completed_total"),
+      jobCounter("cdvs_jobs_rejected_total"),
+      jobCounter("cdvs_jobs_infeasible_total"),
+      jobCounter("cdvs_jobs_failed_total"), CS.Hits, CS.Misses,
+      FS.Fills, FS.Fetches, NS.PeerFetches);
   std::printf("%s\n", Buf);
   std::fflush(stdout);
 

@@ -93,25 +93,10 @@ bool writeTextFile(const std::string &Path, const std::string &Text,
   return true;
 }
 
-/// Mirrors the TaskPool's counters into registry gauges so an exported
-/// snapshot carries queue-pressure data without support/ depending on
-/// obs/.
-void exportPoolStats(const PoolStats &PS) {
-  obs::metrics()
-      .gauge("cdvs_pool_tasks_submitted", "Tasks handed to the pool")
-      .set(static_cast<double>(PS.TasksSubmitted));
-  obs::metrics()
-      .gauge("cdvs_pool_tasks_executed", "Tasks the pool finished")
-      .set(static_cast<double>(PS.TasksExecuted));
-  obs::metrics()
-      .gauge("cdvs_pool_peak_queue_depth",
-             "Deepest the pool's task queue has been")
-      .set(static_cast<double>(PS.PeakQueueDepth));
-  obs::metrics()
-      .gauge("cdvs_pool_task_wait_seconds",
-             "Total seconds tasks sat queued before a worker picked "
-             "them up")
-      .set(PS.TotalWaitSeconds);
+/// Reads one of the service's process-wide job counters; the registry is
+/// their only record.
+long jobCounter(const char *Name) {
+  return static_cast<long>(obs::metrics().counter(Name, "").value());
 }
 
 } // namespace
@@ -341,24 +326,30 @@ int main(int argc, char **argv) {
     }
   }
 
-  ServiceStats S = Service.stats();
+  long Rejected = jobCounter("cdvs_jobs_rejected_total");
+  long VerifyFailures = jobCounter("cdvs_verify_failures_total");
+  double PeakQueueDepth =
+      obs::metrics().gauge("cdvs_admission_queue_depth_peak", "").value();
   CacheStats C = Service.cacheStats();
-  exportPoolStats(Service.poolStats());
+  CacheStats PC = Service.profileStats();
 
   char StatsBuf[1024];
   std::snprintf(
       StatsBuf, sizeof(StatsBuf),
       "{\"type\":\"stats\",\"submitted\":%ld,\"completed\":%ld,"
       "\"rejected\":%ld,\"infeasible\":%ld,\"failed\":%ld,"
-      "\"parse_errors\":%d,\"peak_queue_depth\":%zu,"
+      "\"parse_errors\":%d,\"peak_queue_depth\":%.0f,"
       "\"verify_failures\":%ld,"
       "\"cache\":{\"hits\":%ld,\"misses\":%ld,"
       "\"shared_flights\":%ld,\"evictions\":%ld,\"entries\":%zu},"
-      "\"profile_cache\":{\"hits\":%ld,\"misses\":%ld}}",
-      S.Submitted, S.Completed, S.Rejected, S.Infeasible, S.Failed,
-      ParseErrors, S.PeakQueueDepth, S.VerifyFailures, C.Hits, C.Misses,
-      C.SharedFlights, C.Evictions, C.Entries, S.ProfileCacheHits,
-      S.ProfileCacheMisses);
+      "\"profile_cache\":{\"hits\":%ld,\"misses\":%ld,"
+      "\"shared_flights\":%ld}}",
+      jobCounter("cdvs_jobs_submitted_total"),
+      jobCounter("cdvs_jobs_completed_total"), Rejected,
+      jobCounter("cdvs_jobs_infeasible_total"),
+      jobCounter("cdvs_jobs_failed_total"), ParseErrors, PeakQueueDepth,
+      VerifyFailures, C.Hits, C.Misses, C.SharedFlights, C.Evictions,
+      C.Entries, PC.Hits, PC.Misses, PC.SharedFlights);
   // The aggregate record is the batch's receipt; when the consumer hung
   // up early it still lands on stderr instead of vanishing.
   emitLine(StatsBuf);
@@ -378,7 +369,7 @@ int main(int argc, char **argv) {
   // that in the exit code so scripted callers notice backpressure. A
   // verification failure is never tolerated: an audited-bad schedule
   // must fail the batch even when other jobs completed.
-  if (S.Rejected > 0 || S.VerifyFailures > 0)
+  if (Rejected > 0 || VerifyFailures > 0)
     return 1;
   return NotDone == 0 ? 0 : (Done > 0 ? 0 : 1);
 }
