@@ -6,7 +6,8 @@
 # three single-reactor backends), and merges the rows into one
 # BENCH_net.json:
 #
-#   {"tool":"bench_net","host_cores":N,"rows":[<dvs-loadgen row>, ...]}
+#   {"tool":"bench_net","host_cores":N,"build_type":"...","git_sha":"...",
+#    "rows":[<dvs-loadgen row>, ...]}
 #
 # Each row is one dvs-loadgen record (its "reactors" field carries the
 # server's --reactors value; the cluster row instead carries
@@ -18,7 +19,9 @@
 # host_cores is recorded because reactor scaling is physical: on a
 # single-core host the rows collapse to ~1x and scripts/check.sh skips
 # its multi-reactor speedup floor (the single-reactor rps floor always
-# applies).
+# applies). build_type (build/CMakeCache.txt, else CMakeLists.txt's
+# default) and git_sha (git describe, "-dirty" for uncommitted edits)
+# say what was measured.
 #
 # Usage: scripts/bench_net.sh [out.json] [schedules_dir]
 #   out.json       merged results (default BENCH_net.json)
@@ -39,6 +42,9 @@ REQS="${BENCH_NET_REQUESTS:-18000}"
 RATE="${BENCH_NET_RATE:-40000}"
 DISTINCT="${BENCH_NET_DISTINCT:-16}"
 CORES="$(nproc)"
+BUILD_TYPE="$(sed -n 's/^CMAKE_BUILD_TYPE:[A-Z]*=//p' build/CMakeCache.txt)"
+BUILD_TYPE="${BUILD_TYPE:-RelWithDebInfo}" # CMakeLists.txt's default
+GIT_SHA="$(git describe --always --dirty 2>/dev/null || echo unknown)"
 
 TMP="$(mktemp -d)"
 SRV=""
@@ -121,8 +127,9 @@ for P in "${CLUSTER_PIDS[@]}"; do
 done
 CLUSTER_PIDS=()
 
-printf '{"tool":"bench_net","host_cores":%s,"rows":[%s,%s,%s,%s]}\n' \
-  "$CORES" "$(cat "$TMP/row_1.json")" "$(cat "$TMP/row_2.json")" \
+printf '{"tool":"bench_net","host_cores":%s,"build_type":"%s","git_sha":"%s","rows":[%s,%s,%s,%s]}\n' \
+  "$CORES" "$BUILD_TYPE" "$GIT_SHA" \
+  "$(cat "$TMP/row_1.json")" "$(cat "$TMP/row_2.json")" \
   "$(cat "$TMP/row_4.json")" "$(cat "$TMP/row_cluster.json")" > "$OUT"
 
 echo "bench_net: wrote $OUT"

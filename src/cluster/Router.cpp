@@ -13,27 +13,15 @@
 #include "support/Clock.h"
 
 #include <algorithm>
-#include <cerrno>
-#include <chrono>
 #include <cstdio>
-#include <cstring>
-
-#include <arpa/inet.h>
-#include <netinet/in.h>
-#include <netinet/tcp.h>
-#include <sys/socket.h>
-#include <unistd.h>
+#include <utility>
 
 using namespace cdvs;
 using namespace cdvs::cluster;
-using net::EvErr;
-using net::EvHup;
-using net::EvIn;
-using net::EvOut;
 
 Router::Router(RouterOptions O)
     : Opts(std::move(O)), Ring(Opts.VirtualNodes),
-      Flight(Opts.FlightCapacity) {}
+      Flight(Opts.FlightCapacity), Host(Opts.Server, *this) {}
 
 namespace {
 
@@ -78,12 +66,12 @@ Router::Backend *Router::backendByName(const std::string &Name) {
 }
 
 ErrorOr<bool> Router::start() {
-  if (Started)
+  if (!Backends.empty())
     return makeError("router already started");
   if (Opts.Backends.empty())
     return makeError("router needs at least one backend");
-  if (!Wakeup.valid())
-    return makeError("wakeup fd unavailable");
+  if (Opts.Server.Reactors != 1)
+    return makeError("the router runs on exactly one reactor");
 
   for (const std::string &Text : Opts.Backends) {
     ErrorOr<Address> A = parseAddress(Text);
@@ -92,7 +80,8 @@ ErrorOr<bool> Router::start() {
     const std::string Name = A->name();
     if (backendByName(Name))
       return makeError("duplicate backend '" + Name + "'");
-    auto B = std::make_unique<Backend>(Opts.MaxFrameBytes);
+    auto B = std::make_unique<Backend>();
+    B->Index = static_cast<int>(Backends.size());
     B->Addr = *A;
     B->Name = Name;
     B->RequestsCtr = &obs::metrics().counter(
@@ -109,17 +98,12 @@ ErrorOr<bool> Router::start() {
         "router-observed time from proxied send to backend answer",
         obs::latencyBucketsSeconds(), {{"backend", Name}});
     Ring.add(Name);
-    HealthView[Name] = true;
     Backends.push_back(std::move(B));
   }
 
   BackendsGauge = &obs::metrics().gauge(
       "cdvs_cluster_backends", "backends currently on the ring");
   BackendsGauge->set(static_cast<double>(Ring.size()));
-  ClientConnsGauge = &obs::metrics().gauge(
-      "cdvs_cluster_client_connections",
-      "client connections open on the router");
-  ClientConnsGauge->set(0);
   RetriesCtr = &obs::metrics().counter(
       "cdvs_cluster_retries_total",
       "in-flight requests re-routed to the next ring owner");
@@ -138,14 +122,6 @@ ErrorOr<bool> Router::start() {
       "cdvs_cluster_slow_requests_total",
       "requests the flight recorder saw finish over the slow-log "
       "threshold, or fail");
-  ScrapesCtr = &obs::metrics().counter(
-      "cdvs_stats_scrapes_total",
-      "StatsFetch scrapes answered over the wire.");
-  // Pre-registered so the family exists (at zero) in every scrape even
-  // before the trace ring first overwrites.
-  obs::metrics().counter(
-      "cdvs_trace_dropped_total",
-      "Trace events lost to ring-buffer overwrite since process start.");
 
   if (Opts.SlowLogMs > 0) {
     if (Opts.SlowLogPath.empty() || Opts.SlowLogPath == "-") {
@@ -159,72 +135,38 @@ ErrorOr<bool> Router::start() {
     }
   }
 
-  ErrorOr<int> L = net::listenTcp(Opts.BindAddress, Opts.Port,
-                                  Opts.Backlog);
-  if (!L)
-    return makeError(L.message());
-  ListenFd = *L;
-  ErrorOr<uint16_t> P = net::localPort(ListenFd);
-  if (!P) {
-    ::close(ListenFd);
-    ListenFd = -1;
-    return makeError(P.message());
-  }
-  BoundPort = *P;
-
-  Io = net::Poller::create(Opts.ForcePoll);
-  IoBackend = Io->backendName();
-  Io->add(Wakeup.fd(), EvIn);
-  Io->add(ListenFd, EvIn);
-
-  StopRequested.store(false, std::memory_order_release);
-  DrainRequested.store(false, std::memory_order_release);
-  Started = true;
-  LoopThread = std::thread([this] { loop(); });
-  return true;
-}
-
-void Router::beginDrain() {
-  DrainRequested.store(true, std::memory_order_release);
-  Wakeup.notify();
-}
-
-bool Router::waitDrained(double TimeoutSeconds) {
-  std::unique_lock<std::mutex> Lock(StateMu);
-  if (TimeoutSeconds <= 0)
-    return Drained;
-  return DrainedCv.wait_for(Lock,
-                            std::chrono::duration<double>(TimeoutSeconds),
-                            [this] { return Drained; });
+  return Host.start(); // onStart dials every backend
 }
 
 void Router::stop() {
-  if (!Started)
-    return;
-  StopRequested.store(true, std::memory_order_release);
-  Wakeup.notify();
-  if (LoopThread.joinable())
-    LoopThread.join();
-  Started = false;
+  Host.stop();
   if (SlowLogOwned && SlowLog)
     std::fclose(SlowLog);
   SlowLog = nullptr;
   SlowLogOwned = false;
 }
 
-RouterStats Router::stats() const {
+void Router::bump(long RouterStats::*Field) {
   std::lock_guard<std::mutex> Lock(StatsMu);
-  RouterStats S = Counters;
-  S.HealthyBackends = 0;
-  for (const auto &KV : HealthView)
-    if (KV.second)
-      ++S.HealthyBackends;
+  ++(Counters.*Field);
+}
+
+RouterStats Router::stats() const {
+  RouterStats S;
+  {
+    std::lock_guard<std::mutex> Lock(StatsMu);
+    S = Counters;
+  }
+  for (const auto &B : Backends)
+    S.HealthyBackends += B->Healthy;
   return S;
 }
 
 std::vector<std::pair<std::string, bool>> Router::backendHealth() const {
-  std::lock_guard<std::mutex> Lock(StatsMu);
-  return {HealthView.begin(), HealthView.end()};
+  std::vector<std::pair<std::string, bool>> Out;
+  for (const auto &B : Backends)
+    Out.emplace_back(B->Name, B->Healthy);
+  return Out;
 }
 
 std::vector<FlightRecord> Router::flightRecords() const {
@@ -238,7 +180,8 @@ std::vector<FlightRecord> Router::flightRecords() const {
 void Router::recordFlight(const PendingRequest &P,
                           const std::string &Verdict, uint64_t NowNs) {
   double Total = static_cast<double>(NowNs - P.StartNs) * 1e-9;
-  if (P.HasTrace && obs::trace().enabled()) {
+  int Retries = std::max(0, static_cast<int>(P.Tried.size()) - 1);
+  if (P.Trace.valid() && obs::trace().enabled()) {
     // The router's span for this request: admission to answer, parented
     // under the client's span, parent of every upstream send — the hinge
     // of the cross-process timeline.
@@ -254,23 +197,19 @@ void Router::recordFlight(const PendingRequest &P,
     E.SpanId = P.RouteSpanId;
     E.ParentSpan = P.Trace.ParentSpan;
     E.ArgKey0 = "retries";
-    E.ArgVal0 = P.Tried.empty()
-                    ? 0.0
-                    : static_cast<double>(P.Tried.size() - 1);
+    E.ArgVal0 = Retries;
     obs::trace().record(E);
   }
   if (Opts.FlightCapacity == 0)
     return;
   FlightRecord R;
-  if (P.HasTrace)
+  if (P.Trace.valid())
     R.TraceId = hex128(P.Trace.TraceHi, P.Trace.TraceLo);
   R.Key = P.Key.toHex();
   R.ClientId = P.ClientId;
   R.ClientCorr = P.ClientCorr;
   R.Owner = P.Tried.empty() ? std::string() : P.Tried.front();
-  R.Retries = P.Tried.empty()
-                  ? 0
-                  : static_cast<int>(P.Tried.size()) - 1;
+  R.Retries = Retries;
   R.Hops = P.Hops;
   R.Verdict = Verdict;
   R.TotalSeconds = Total;
@@ -290,278 +229,38 @@ void Router::recordFlight(const PendingRequest &P,
 }
 
 //===----------------------------------------------------------------------===//
-// The loop
+// Client side: the hosting server admits, the router routes
 //===----------------------------------------------------------------------===//
 
-void Router::loop() {
-  uint64_t Now = monotonicNanos();
+std::string Router::statsExtras() {
+  std::string Flights = ",\"flight\":[";
+  std::lock_guard<std::mutex> Lock(FlightMu);
+  bool First = true;
+  Flight.forEach([&Flights, &First](const FlightRecord &R) {
+    if (!First)
+      Flights += ',';
+    First = false;
+    Flights += flightRecordJson(R);
+  });
+  return Flights + ']';
+}
+
+void Router::onStart(net::Reactor &R, uint64_t NowNs) {
+  Loop = &R;
   for (auto &B : Backends)
-    startConnect(*B, Now);
-  armHealthTimer(Now);
-
-  std::vector<net::PollEvent> Events;
-  while (!StopRequested.load(std::memory_order_acquire)) {
-    if (DrainRequested.load(std::memory_order_acquire) && !DrainStarted)
-      startDrainOnLoop();
-    Now = monotonicNanos();
-    Wheel.advance(Now);
-    int N = Io->wait(Events, Wheel.pollTimeoutMs(Now));
-    if (N < 0)
-      break;
-    Now = monotonicNanos();
-    Tombstones.clear();
-    for (const net::PollEvent &E : Events) {
-      if (StopRequested.load(std::memory_order_acquire))
-        break;
-      if (Tombstones.count(E.Fd))
-        continue;
-      if (E.Fd == Wakeup.fd()) {
-        Wakeup.drain();
-        continue;
-      }
-      if (E.Fd == ListenFd) {
-        if (E.Events & (EvIn | EvErr))
-          acceptReady(Now);
-        continue;
-      }
-      auto BIt = BackendByFd.find(E.Fd);
-      if (BIt != BackendByFd.end()) {
-        backendEvent(*BIt->second, E.Events, Now);
-        continue;
-      }
-      auto CIt = ClientByFd.find(E.Fd);
-      if (CIt != ClientByFd.end())
-        clientEvent(CIt->second, E.Events, Now);
-    }
-  }
-  teardown();
+    connect(*B, NowNs);
+  armHealthTimer(NowNs);
 }
 
-void Router::teardown() {
-  std::vector<uint64_t> Ids;
-  Ids.reserve(ClientsById.size());
-  for (const auto &KV : ClientsById)
-    Ids.push_back(KV.first);
-  for (uint64_t Id : Ids)
-    closeClient(Id);
-  for (auto &B : Backends)
-    closeBackendLink(*B);
-  if (ListenFd >= 0) {
-    Io->remove(ListenFd);
-    ::close(ListenFd);
-    ListenFd = -1;
-  }
-  Io->remove(Wakeup.fd());
-  {
-    std::lock_guard<std::mutex> Lock(StateMu);
-    Drained = true;
-  }
-  DrainedCv.notify_all();
-}
-
-void Router::startDrainOnLoop() {
-  DrainStarted = true;
-  if (ListenFd >= 0) {
-    Io->remove(ListenFd);
-    ::close(ListenFd);
-    ListenFd = -1;
-  }
-  std::vector<uint64_t> Ids;
-  Ids.reserve(ClientsById.size());
-  for (const auto &KV : ClientsById)
-    Ids.push_back(KV.first);
-  for (uint64_t Id : Ids) {
-    auto It = ClientsById.find(Id);
-    if (It == ClientsById.end())
-      continue;
-    ClientConn &C = *It->second;
-    updateClientSubscription(C);
-    maybeFinishClient(C);
-  }
-  finishDrainIfIdle();
-}
-
-void Router::finishDrainIfIdle() {
-  if (!DrainStarted || !ClientsById.empty())
-    return;
-  {
-    std::lock_guard<std::mutex> Lock(StateMu);
-    Drained = true;
-  }
-  DrainedCv.notify_all();
-}
-
-//===----------------------------------------------------------------------===//
-// Client side
-//===----------------------------------------------------------------------===//
-
-void Router::acceptReady(uint64_t NowNs) {
-  (void)NowNs;
-  for (;;) {
-    int Fd = ::accept(ListenFd, nullptr, nullptr);
-    if (Fd < 0) {
-      if (errno == EINTR)
-        continue;
-      break;
-    }
-    if (ClientsById.size() >= Opts.MaxConnections) {
-      // Best-effort structured refusal; the socket is still blocking so
-      // a tiny frame either goes out now or not at all.
-      std::string R = net::encodeFrame(
-          net::FrameType::Reject, 0,
-          net::encodeReject("busy", "router connection limit reached"));
-      ::send(Fd, R.data(), R.size(), MSG_NOSIGNAL);
-      ::close(Fd);
-      std::lock_guard<std::mutex> Lock(StatsMu);
-      ++Counters.ConnectionsRejected;
-      continue;
-    }
-    net::setNonBlocking(Fd);
-    int One = 1;
-    ::setsockopt(Fd, IPPROTO_TCP, TCP_NODELAY, &One, sizeof(One));
-    uint64_t Id = NextClientId++;
-    auto C = std::make_unique<ClientConn>(Opts.MaxFrameBytes);
-    C->Fd = Fd;
-    C->Id = Id;
-    if (!Io->add(Fd, EvIn)) {
-      ::close(Fd);
-      std::lock_guard<std::mutex> Lock(StatsMu);
-      ++Counters.ConnectionsRejected;
-      continue;
-    }
-    C->Subscribed = EvIn;
-    ClientByFd[Fd] = Id;
-    ClientsById[Id] = std::move(C);
-    ClientConnsGauge->set(static_cast<double>(ClientsById.size()));
-    std::lock_guard<std::mutex> Lock(StatsMu);
-    ++Counters.ConnectionsAccepted;
-    Counters.OpenConnections = ClientsById.size();
-  }
-}
-
-void Router::clientEvent(uint64_t Id, unsigned Events, uint64_t NowNs) {
-  auto It = ClientsById.find(Id);
-  if (It == ClientsById.end())
-    return;
-  ClientConn &C = *It->second;
-  if (Events & EvErr) {
-    closeClient(Id);
-    return;
-  }
-  if (Events & EvOut) {
-    flushClient(C);
-    if (!ClientsById.count(Id))
-      return;
-  }
-  if (!(Events & (EvIn | EvHup)))
-    return;
-  char Buf[64 * 1024];
-  for (;;) {
-    ssize_t N = ::recv(C.Fd, Buf, sizeof(Buf), 0);
-    if (N > 0) {
-      C.Parser.feed(Buf, static_cast<size_t>(N));
-      processClientFrames(C, NowNs);
-      if (!ClientsById.count(Id))
-        return;
-      continue;
-    }
-    if (N == 0) {
-      C.SawEof = true;
-      if (C.Parser.buffered() > 0) {
-        // Hung up mid-frame: nothing more can be trusted or answered.
-        {
-          std::lock_guard<std::mutex> Lock(StatsMu);
-          ++Counters.ProtocolErrors;
-        }
-        closeClient(Id);
-        return;
-      }
-      updateClientSubscription(C);
-      maybeFinishClient(C);
-      return;
-    }
-    if (errno == EINTR)
-      continue;
-    if (errno == EAGAIN || errno == EWOULDBLOCK)
-      return;
-    closeClient(Id);
-    return;
-  }
-}
-
-void Router::processClientFrames(ClientConn &C, uint64_t NowNs) {
-  net::Frame F;
-  for (;;) {
-    if (C.CloseAfterFlush)
-      return;
-    net::FrameParser::Next R = C.Parser.next(F);
-    if (R == net::FrameParser::Next::NeedMore)
-      return;
-    if (R == net::FrameParser::Next::Error) {
-      {
-        std::lock_guard<std::mutex> Lock(StatsMu);
-        ++Counters.ProtocolErrors;
-      }
-      sendClientReject(C, 0, net::wireStatusName(C.Parser.error()),
-                       "framing error; closing");
-      C.CloseAfterFlush = true;
-      updateClientSubscription(C);
-      return;
-    }
-    {
-      std::lock_guard<std::mutex> Lock(StatsMu);
-      ++Counters.FramesIn;
-    }
-    switch (F.Type) {
-    case net::FrameType::Request:
-    case net::FrameType::GraphRequest:
-      routeRequest(C, F, NowNs);
-      break;
-    case net::FrameType::Ping:
-      // The monotonic-clock stamp lets scrapers align per-process
-      // clocks from the RTT midpoint; old clients ignore Pong payloads.
-      enqueueClientFrame(C, net::FrameType::Pong, F.Correlation,
-                         "{\"now_ns\":" +
-                             std::to_string(monotonicNanos()) + "}");
-      break;
-    case net::FrameType::StatsFetch:
-      handleStatsFetch(C, F);
-      break;
-    default:
-      {
-        std::lock_guard<std::mutex> Lock(StatsMu);
-        ++Counters.ProtocolErrors;
-      }
-      sendClientReject(C, F.Correlation, "bad_type",
-                       std::string("unexpected frame type ") +
-                           net::frameTypeName(F.Type));
-      C.CloseAfterFlush = true;
-      updateClientSubscription(C);
-      return;
-    }
-  }
-}
-
-void Router::routeRequest(ClientConn &C, net::Frame &F, uint64_t NowNs) {
-  if (!C.Pending.insert(F.Correlation).second) {
-    {
-      std::lock_guard<std::mutex> Lock(StatsMu);
-      ++Counters.ProtocolErrors;
-    }
-    sendClientReject(C, F.Correlation, "bad_request",
-                     "correlation id already in flight");
-    return;
-  }
+void Router::onRequest(net::Reactor &R, net::Conn &C, net::Frame &F,
+                       uint64_t NowNs) {
   ErrorOr<JobRequest> Req = jobRequestFromJsonText(F.Payload);
-  if (!Req) {
-    C.Pending.erase(F.Correlation);
-    sendClientReject(C, F.Correlation, "bad_request", Req.message());
-    return;
-  }
-  if (Ring.empty()) {
-    C.Pending.erase(F.Correlation);
-    sendClientReject(C, F.Correlation, "no_backends",
-                     "no healthy backends on the ring");
+  const char *Code = !Req ? "bad_request" : Ring.empty() ? "no_backends"
+                                                         : nullptr;
+  if (Code) {
+    RejectsCtr->inc();
+    Host.reject(R, C.Id, F.Correlation, Code,
+                !Req ? Req.message() : "no healthy backends on the ring");
     return;
   }
   PendingRequest P;
@@ -570,16 +269,13 @@ void Router::routeRequest(ClientConn &C, net::Frame &F, uint64_t NowNs) {
   P.Payload = std::move(F.Payload);
   P.Kind = F.Type;
   P.Key = requestKey(*Req);
-  P.RetriesLeft = Opts.RetryBudget;
   P.StartNs = NowNs;
   if (F.HasTrace && F.Trace.valid()) {
     P.Trace = F.Trace;
-    P.HasTrace = true;
     // Allocated now so upstream sends can name it as their parent; the
     // span's completion event is recorded when the request retires.
     P.RouteSpanId = obs::nextSpanId();
   }
-  ++C.InFlight;
   const std::string *Owner = Ring.ownerOf(P.Key);
   Backend *B = Owner ? backendByName(*Owner) : nullptr;
   if (!B) {
@@ -589,307 +285,57 @@ void Router::routeRequest(ClientConn &C, net::Frame &F, uint64_t NowNs) {
   sendToBackend(*B, std::move(P), NowNs);
 }
 
-void Router::handleStatsFetch(ClientConn &C, net::Frame &F) {
-  // Served inline on the loop like every other frame: the renders take
-  // the registry/ring locks briefly, and scrapes are rare (human or CI
-  // cadence) next to request traffic.
-  ScrapesCtr->inc();
-  std::string Flights = "[";
-  {
-    std::lock_guard<std::mutex> Lock(FlightMu);
-    bool First = true;
-    Flight.forEach([&Flights, &First](const FlightRecord &R) {
-      if (!First)
-        Flights += ',';
-      First = false;
-      Flights += flightRecordJson(R);
-    });
-  }
-  Flights += ']';
-  std::string Payload =
-      "{\"role\":\"router\",\"pid\":" +
-      std::to_string(static_cast<long>(getpid())) + ",\"now_ns\":" +
-      std::to_string(monotonicNanos()) + ",\"trace_dropped\":" +
-      std::to_string(obs::trace().dropped()) + ",\"flight\":" +
-      Flights + ",\"metrics\":\"" +
-      jsonEscape(obs::metrics().renderPrometheus()) + "\",\"trace\":" +
-      obs::trace().renderChromeTrace(static_cast<int>(getpid()),
-                                     "dvs-router") +
-      "}";
-  enqueueClientFrame(C, net::FrameType::StatsData, F.Correlation,
-                     Payload);
-}
-
-void Router::enqueueClientFrame(ClientConn &C, net::FrameType Type,
-                                uint64_t Correlation,
-                                const std::string &Payload) {
-  C.WriteQ.push_back(net::encodeFrame(Type, Correlation, Payload));
-  {
-    std::lock_guard<std::mutex> Lock(StatsMu);
-    ++Counters.FramesOut;
-  }
-  updateClientSubscription(C);
-}
-
-void Router::sendClientReject(ClientConn &C, uint64_t Correlation,
-                              const std::string &Code,
-                              const std::string &Reason) {
-  {
-    std::lock_guard<std::mutex> Lock(StatsMu);
-    ++Counters.RejectsSent;
-  }
-  RejectsCtr->inc();
-  enqueueClientFrame(C, net::FrameType::Reject, Correlation,
-                     net::encodeReject(Code, Reason));
-}
-
-void Router::flushClient(ClientConn &C) {
-  uint64_t Id = C.Id;
-  while (!C.WriteQ.empty()) {
-    const std::string &Front = C.WriteQ.front();
-    ssize_t N = ::send(C.Fd, Front.data() + C.WriteOff,
-                       Front.size() - C.WriteOff, MSG_NOSIGNAL);
-    if (N > 0) {
-      C.WriteOff += static_cast<size_t>(N);
-      if (C.WriteOff == Front.size()) {
-        C.WriteQ.pop_front();
-        C.WriteOff = 0;
-      }
-      continue;
-    }
-    if (N < 0 && errno == EINTR)
-      continue;
-    if (N < 0 && (errno == EAGAIN || errno == EWOULDBLOCK))
-      break;
-    closeClient(Id);
-    return;
-  }
-  if (C.WriteQ.empty()) {
-    bool Done = C.CloseAfterFlush ||
-                ((C.SawEof || DrainStarted) && C.InFlight == 0);
-    if (Done) {
-      closeClient(Id);
-      return;
-    }
-  }
-  updateClientSubscription(C);
-}
-
-void Router::updateClientSubscription(ClientConn &C) {
-  unsigned Want = 0;
-  if (!C.CloseAfterFlush && !C.SawEof && !DrainStarted)
-    Want |= EvIn;
-  if (!C.WriteQ.empty())
-    Want |= EvOut;
-  if (Want != C.Subscribed) {
-    Io->update(C.Fd, Want);
-    C.Subscribed = Want;
-  }
-}
-
-void Router::maybeFinishClient(ClientConn &C) {
-  if (!C.WriteQ.empty())
-    return;
-  if (C.CloseAfterFlush ||
-      ((C.SawEof || DrainStarted) && C.InFlight == 0))
-    closeClient(C.Id);
-}
-
-void Router::closeClient(uint64_t Id) {
-  auto It = ClientsById.find(Id);
-  if (It == ClientsById.end())
-    return;
-  ClientConn &C = *It->second;
-  Io->remove(C.Fd);
-  ClientByFd.erase(C.Fd);
-  Tombstones.insert(C.Fd);
-  ::close(C.Fd);
-  // Requests still riding backends are left in place; their answers
-  // will find no client and count as orphans, which is the truth.
-  ClientsById.erase(It);
-  ClientConnsGauge->set(static_cast<double>(ClientsById.size()));
-  {
-    std::lock_guard<std::mutex> Lock(StatsMu);
-    ++Counters.ConnectionsClosed;
-    Counters.OpenConnections = ClientsById.size();
-  }
-  finishDrainIfIdle();
-}
-
 //===----------------------------------------------------------------------===//
 // Backend side
 //===----------------------------------------------------------------------===//
 
-void Router::startConnect(Backend &B, uint64_t NowNs) {
-  if (B.Conn != Backend::Link::Idle)
+void Router::connect(Backend &B, uint64_t NowNs) {
+  if (B.Link)
     return;
-  int Fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (Fd < 0) {
-    transportFailure(B, "socket() failed", NowNs);
-    return;
-  }
-  net::setNonBlocking(Fd);
-  sockaddr_in A{};
-  A.sin_family = AF_INET;
-  A.sin_port = htons(B.Addr.Port);
-  if (::inet_pton(AF_INET, B.Addr.Host.c_str(), &A.sin_addr) != 1) {
-    ::close(Fd);
-    transportFailure(B, "address not numeric IPv4", NowNs);
+  ErrorOr<net::Conn *> L = Host.dial(*Loop, B.Addr.Host, B.Addr.Port,
+                                     Opts.ConnectTimeoutMs, B.Index);
+  if (!L) {
+    transportFailure(B, NowNs);
     return;
   }
-  int Rc = ::connect(Fd, reinterpret_cast<sockaddr *>(&A), sizeof(A));
-  if (Rc != 0 && errno != EINPROGRESS) {
-    ::close(Fd);
-    transportFailure(B, "connect failed", NowNs);
-    return;
-  }
-  B.Fd = Fd;
-  B.Parser = net::FrameParser(Opts.MaxFrameBytes);
-  BackendByFd[Fd] = &B;
-  B.Conn = Backend::Link::Connecting;
-  if (!Io->add(Fd, EvOut)) {
-    transportFailure(B, "poller add failed", NowNs);
-    return;
-  }
-  B.Subscribed = EvOut;
-  if (Rc == 0) {
-    onBackendConnected(B);
-    return;
-  }
-  Backend *BP = &B;
-  B.ConnectTimer = Wheel.schedule(
-      NowNs, Opts.ConnectTimeoutMs * 1'000'000ull, [this, BP] {
-        if (BP->Conn != Backend::Link::Connecting)
-          return;
-        BP->ConnectTimer = 0;
-        transportFailure(*BP, "connect timeout", monotonicNanos());
-      });
-}
-
-void Router::onBackendConnected(Backend &B) {
-  if (B.ConnectTimer) {
-    Wheel.cancel(B.ConnectTimer);
-    B.ConnectTimer = 0;
-  }
-  int One = 1;
-  ::setsockopt(B.Fd, IPPROTO_TCP, TCP_NODELAY, &One, sizeof(One));
-  B.Conn = Backend::Link::Up;
-  // Probe ping: reinstatement is gated on an answered Pong, so a
-  // process that accepts but cannot speak the protocol never rejoins.
+  B.Link = *L;
+  // Probe ping, first out once the connect settles: reinstatement is
+  // gated on an answered Pong, so a process that accepts but cannot
+  // speak the protocol never rejoins.
   B.PingCorr = B.NextCorr++;
-  B.WriteQ.push_back(
-      net::encodeFrame(net::FrameType::Ping, B.PingCorr, ""));
-  {
-    std::lock_guard<std::mutex> Lock(StatsMu);
-    ++Counters.FramesOut;
-  }
-  B.Subscribed = 0; // force the update below to re-register interest
-  updateBackendSubscription(B);
+  Host.send(*Loop, *B.Link, net::FrameType::Ping, B.PingCorr, "");
 }
 
-void Router::backendEvent(Backend &B, unsigned Events, uint64_t NowNs) {
-  if (B.Conn == Backend::Link::Connecting) {
-    if (!(Events & (EvOut | EvErr | EvHup)))
-      return;
-    int Err = 0;
-    socklen_t Len = sizeof(Err);
-    if (::getsockopt(B.Fd, SOL_SOCKET, SO_ERROR, &Err, &Len) != 0)
-      Err = errno ? errno : EIO;
-    if (Err != 0) {
-      transportFailure(B, std::strerror(Err), NowNs);
-      return;
-    }
-    onBackendConnected(B);
-    return;
-  }
-  if (B.Conn != Backend::Link::Up)
-    return;
-  if (Events & EvErr) {
-    transportFailure(B, "socket error", NowNs);
-    return;
-  }
-  if (Events & EvOut) {
-    flushBackend(B);
-    if (B.Conn != Backend::Link::Up)
-      return;
-  }
-  if (!(Events & (EvIn | EvHup)))
-    return;
-  char Buf[64 * 1024];
-  for (;;) {
-    ssize_t N = ::recv(B.Fd, Buf, sizeof(Buf), 0);
-    if (N > 0) {
-      B.Parser.feed(Buf, static_cast<size_t>(N));
-      processBackendFrames(B, NowNs);
-      if (B.Conn != Backend::Link::Up)
-        return;
-      continue;
-    }
-    if (N == 0) {
-      transportFailure(B, "backend closed the connection", NowNs);
-      return;
-    }
-    if (errno == EINTR)
-      continue;
-    if (errno == EAGAIN || errno == EWOULDBLOCK)
-      return;
-    transportFailure(B, "recv failed", NowNs);
-    return;
-  }
+void Router::onUpstreamDown(net::Reactor &, int Link, uint64_t NowNs) {
+  Backend &B = *Backends[static_cast<size_t>(Link)];
+  B.Link = nullptr; // the server already closed it
+  transportFailure(B, NowNs);
 }
 
-void Router::processBackendFrames(Backend &B, uint64_t NowNs) {
-  net::Frame F;
-  for (;;) {
-    if (B.Conn != Backend::Link::Up)
-      return;
-    net::FrameParser::Next R = B.Parser.next(F);
-    if (R == net::FrameParser::Next::NeedMore)
-      return;
-    if (R == net::FrameParser::Next::Error) {
-      {
-        std::lock_guard<std::mutex> Lock(StatsMu);
-        ++Counters.ProtocolErrors;
-      }
-      transportFailure(B, "framing error from backend", NowNs);
-      return;
+void Router::onUpstreamFrame(net::Reactor &R, net::Conn &L, net::Frame &F,
+                             uint64_t NowNs) {
+  Backend &B = *Backends[static_cast<size_t>(L.Link)];
+  // Any frame proves the link moves bytes; the health tick's ping only
+  // decides for a link that carried nothing else.
+  B.Heard = true;
+  switch (F.Type) {
+  case net::FrameType::Pong:
+    if (F.Correlation == B.PingCorr && B.PingCorr != 0) {
+      B.PingCorr = 0;
+      recover(B);
     }
-    {
-      std::lock_guard<std::mutex> Lock(StatsMu);
-      ++Counters.FramesIn;
-    }
-    switch (F.Type) {
-    case net::FrameType::Pong:
-      if (F.Correlation == B.PingCorr && B.PingCorr != 0) {
-        B.PingCorr = 0;
-        recover(B);
-      }
-      break;
-    case net::FrameType::Response:
-    case net::FrameType::GraphResponse:
-    case net::FrameType::Reject:
-      deliver(B, F, NowNs);
-      break;
-    case net::FrameType::Ping:
-      B.WriteQ.push_back(
-          net::encodeFrame(net::FrameType::Pong, F.Correlation, ""));
-      {
-        std::lock_guard<std::mutex> Lock(StatsMu);
-        ++Counters.FramesOut;
-      }
-      updateBackendSubscription(B);
-      break;
-    default:
-      {
-        std::lock_guard<std::mutex> Lock(StatsMu);
-        ++Counters.ProtocolErrors;
-      }
-      transportFailure(B,
-                       std::string("unexpected frame type ") +
-                           net::frameTypeName(F.Type),
-                       NowNs);
-      return;
-    }
+    break;
+  case net::FrameType::Response:
+  case net::FrameType::GraphResponse:
+  case net::FrameType::Reject:
+    deliver(B, F, NowNs);
+    break;
+  case net::FrameType::Ping:
+    Host.send(R, L, net::FrameType::Pong, F.Correlation, "");
+    break;
+  default:
+    transportFailure(B, NowNs); // not a frame a backend sends
+    break;
   }
 }
 
@@ -897,116 +343,47 @@ void Router::deliver(Backend &B, net::Frame &F, uint64_t NowNs) {
   auto It = B.InFlight.find(F.Correlation);
   if (It == B.InFlight.end()) {
     // A late answer for a request that timed out upstream and was
-    // retried elsewhere, or whose client vanished: drop it.
-    std::lock_guard<std::mutex> Lock(StatsMu);
-    ++Counters.OrphanResponses;
+    // retried elsewhere: drop it.
+    bump(&RouterStats::OrphanResponses);
     return;
   }
   PendingRequest P = std::move(It->second);
   B.InFlight.erase(It);
   if (P.TimerId) {
-    Wheel.cancel(P.TimerId);
+    Host.wheel(*Loop).cancel(P.TimerId);
     P.TimerId = 0;
   }
   // An answered request proves the transport works end to end.
   B.Failures = 0;
   B.LatencyHist->observe(static_cast<double>(NowNs - P.StartNs) * 1e-9);
-  if (P.HopStartNs && P.Hops.size() < P.Tried.size())
-    P.Hops.emplace_back(P.Tried.back(),
-                        static_cast<double>(NowNs - P.HopStartNs) *
-                            1e-9);
+  P.endHop(NowNs);
 
-  auto CIt = ClientsById.find(P.ClientId);
-  if (CIt == ClientsById.end()) {
-    recordFlight(P, "orphan", NowNs);
-    std::lock_guard<std::mutex> Lock(StatsMu);
-    ++Counters.OrphanResponses;
+  if (!Host.awaiting(*Loop, P.ClientId, P.ClientCorr)) {
+    orphan(P, NowNs);
     return;
   }
-  ClientConn &C = *CIt->second;
-  if (C.Pending.erase(P.ClientCorr) == 0) {
-    recordFlight(P, "orphan", NowNs);
-    std::lock_guard<std::mutex> Lock(StatsMu);
-    ++Counters.OrphanResponses;
-    return;
+  bool IsReject = F.Type == net::FrameType::Reject;
+  recordFlight(P, IsReject ? "reject" : "response", NowNs);
+  bump(IsReject ? &RouterStats::RejectsRelayed
+                : &RouterStats::ResponsesRelayed);
+  if (!IsReject && Opts.AnnotateBackend && !F.Payload.empty() &&
+      F.Payload.front() == '{') {
+    size_t Close = F.Payload.rfind('}');
+    if (Close != std::string::npos)
+      F.Payload.insert(Close, ",\"backend\":\"" + jsonEscape(B.Name) + "\"");
   }
-  --C.InFlight;
-  recordFlight(P, F.Type == net::FrameType::Reject ? "reject"
-                                                   : "response",
-               NowNs);
-  if (F.Type != net::FrameType::Reject) {
-    {
-      std::lock_guard<std::mutex> Lock(StatsMu);
-      ++Counters.ResponsesRelayed;
-    }
-    if (Opts.AnnotateBackend && !F.Payload.empty() &&
-        F.Payload.front() == '{') {
-      size_t Close = F.Payload.rfind('}');
-      if (Close != std::string::npos)
-        F.Payload.insert(Close, ",\"backend\":\"" +
-                                    jsonEscape(B.Name) + "\"");
-    }
-  } else {
-    std::lock_guard<std::mutex> Lock(StatsMu);
-    ++Counters.RejectsRelayed;
-  }
-  enqueueClientFrame(C, F.Type, P.ClientCorr, F.Payload);
-}
-
-void Router::flushBackend(Backend &B) {
-  while (!B.WriteQ.empty()) {
-    const std::string &Front = B.WriteQ.front();
-    ssize_t N = ::send(B.Fd, Front.data() + B.WriteOff,
-                       Front.size() - B.WriteOff, MSG_NOSIGNAL);
-    if (N > 0) {
-      B.WriteOff += static_cast<size_t>(N);
-      if (B.WriteOff == Front.size()) {
-        B.WriteQ.pop_front();
-        B.WriteOff = 0;
-      }
-      continue;
-    }
-    if (N < 0 && errno == EINTR)
-      continue;
-    if (N < 0 && (errno == EAGAIN || errno == EWOULDBLOCK))
-      break;
-    transportFailure(B, "send failed", monotonicNanos());
-    return;
-  }
-  updateBackendSubscription(B);
-}
-
-void Router::updateBackendSubscription(Backend &B) {
-  if (B.Conn != Backend::Link::Up || B.Fd < 0)
-    return;
-  unsigned Want = EvIn;
-  if (!B.WriteQ.empty())
-    Want |= EvOut;
-  if (Want != B.Subscribed) {
-    Io->update(B.Fd, Want);
-    B.Subscribed = Want;
-  }
+  Host.answer(*Loop, P.ClientId, P.ClientCorr, F.Type, F.Payload);
 }
 
 void Router::sendToBackend(Backend &B, PendingRequest P, uint64_t NowNs) {
   P.Tried.push_back(B.Name);
   P.HopStartNs = NowNs;
   uint64_t Corr = B.NextCorr++;
-  {
-    std::lock_guard<std::mutex> Lock(StatsMu);
-    ++Counters.RequestsRouted;
-    ++Counters.FramesOut;
-  }
+  bump(&RouterStats::RequestsRouted);
   B.RequestsCtr->inc();
-  // Re-emit the client's trace context upstream with the router's route
-  // span as parent, so backend spans nest under the router's hop.
-  net::TraceContext Upstream = P.Trace;
-  Upstream.ParentSpan = P.RouteSpanId;
-  B.WriteQ.push_back(net::encodeFrame(P.Kind, Corr, P.Payload,
-                                      P.HasTrace ? &Upstream : nullptr));
   if (Opts.UpstreamTimeoutMs > 0) {
     Backend *BP = &B;
-    P.TimerId = Wheel.schedule(
+    P.TimerId = Host.wheel(*Loop).schedule(
         NowNs, Opts.UpstreamTimeoutMs * 1'000'000ull, [this, BP, Corr] {
           auto It = BP->InFlight.find(Corr);
           if (It == BP->InFlight.end())
@@ -1014,66 +391,44 @@ void Router::sendToBackend(Backend &B, PendingRequest P, uint64_t NowNs) {
           PendingRequest Timed = std::move(It->second);
           BP->InFlight.erase(It);
           Timed.TimerId = 0;
-          {
-            std::lock_guard<std::mutex> Lock(StatsMu);
-            ++Counters.UpstreamTimeouts;
-          }
+          bump(&RouterStats::UpstreamTimeouts);
           retryPending(std::move(Timed), monotonicNanos());
         });
   }
-  B.InFlight.emplace(Corr, std::move(P));
-  switch (B.Conn) {
-  case Backend::Link::Up:
-    updateBackendSubscription(B);
-    break;
-  case Backend::Link::Connecting:
-    break; // queued; flushed by onBackendConnected
-  case Backend::Link::Idle:
-    // Last action on purpose: an immediate connect failure re-enters
-    // transportFailure -> retryPending, which may consume P again.
-    startConnect(B, NowNs);
-    break;
-  }
+  const PendingRequest &Q =
+      B.InFlight.emplace(Corr, std::move(P)).first->second;
+  // An idle backend dials first; a connect that fails at once re-enters
+  // transportFailure -> retryPending, which takes this request along.
+  connect(B, NowNs);
+  if (!B.Link)
+    return;
+  // Re-emit the client's trace context upstream with the router's route
+  // span as parent, so backend spans nest under the router's hop.
+  net::TraceContext Upstream = Q.Trace;
+  Upstream.ParentSpan = Q.RouteSpanId;
+  Host.send(*Loop, *B.Link, Q.Kind, Corr, Q.Payload,
+            Q.Trace.valid() ? &Upstream : nullptr);
 }
 
-std::vector<Router::PendingRequest>
-Router::closeBackendLink(Backend &B) {
-  std::vector<PendingRequest> Orphans;
-  if (B.ConnectTimer) {
-    Wheel.cancel(B.ConnectTimer);
-    B.ConnectTimer = 0;
+void Router::transportFailure(Backend &B, uint64_t NowNs) {
+  obs::traceInstant("cluster_backend_failure", "cluster", "failures",
+                    static_cast<double>(B.Failures + 1));
+  if (B.Link) {
+    Host.close(*Loop, B.Link->Id);
+    B.Link = nullptr;
   }
+  // Take the requests that were riding the link.
+  std::vector<PendingRequest> Orphans;
   Orphans.reserve(B.InFlight.size());
   for (auto &KV : B.InFlight) {
-    if (KV.second.TimerId) {
-      Wheel.cancel(KV.second.TimerId);
-      KV.second.TimerId = 0;
-    }
+    if (KV.second.TimerId)
+      Host.wheel(*Loop).cancel(KV.second.TimerId);
+    KV.second.TimerId = 0;
     Orphans.push_back(std::move(KV.second));
   }
   B.InFlight.clear();
-  B.WriteQ.clear();
-  B.WriteOff = 0;
   B.PingCorr = 0;
-  if (B.Fd >= 0) {
-    Io->remove(B.Fd);
-    BackendByFd.erase(B.Fd);
-    Tombstones.insert(B.Fd);
-    ::close(B.Fd);
-    B.Fd = -1;
-  }
-  B.Subscribed = 0;
-  B.Conn = Backend::Link::Idle;
-  B.Parser = net::FrameParser(Opts.MaxFrameBytes);
-  return Orphans;
-}
-
-void Router::transportFailure(Backend &B, const std::string &Reason,
-                              uint64_t NowNs) {
-  (void)Reason;
-  obs::traceInstant("cluster_backend_failure", "cluster", "failures",
-                    static_cast<double>(B.Failures + 1));
-  std::vector<PendingRequest> Orphans = closeBackendLink(B);
+  B.Heard = false;
   ++B.Failures;
   if (B.Healthy && B.Failures >= Opts.FailThreshold)
     markDown(B);
@@ -1082,49 +437,36 @@ void Router::transportFailure(Backend &B, const std::string &Reason,
 }
 
 void Router::markDown(Backend &B) {
-  B.Healthy = false;
   Ring.remove(B.Name);
   B.UpGauge->set(0);
   EvictionsCtr->inc();
   BackendsGauge->set(static_cast<double>(Ring.size()));
-  std::lock_guard<std::mutex> Lock(StatsMu);
-  ++Counters.BackendEvictions;
-  HealthView[B.Name] = false;
+  bump(&RouterStats::BackendEvictions);
+  B.Healthy = false; // last: whoever sees it also sees the count
 }
 
 void Router::recover(Backend &B) {
   B.Failures = 0;
   if (B.Healthy)
     return;
-  B.Healthy = true;
   Ring.add(B.Name);
   B.UpGauge->set(1);
   ReinstatementsCtr->inc();
   BackendsGauge->set(static_cast<double>(Ring.size()));
-  std::lock_guard<std::mutex> Lock(StatsMu);
-  ++Counters.BackendReinstatements;
-  HealthView[B.Name] = true;
+  bump(&RouterStats::BackendReinstatements);
+  B.Healthy = true;
 }
 
 void Router::retryPending(PendingRequest P, uint64_t NowNs) {
-  // Account the hop that just failed or timed out before re-routing.
-  if (P.HopStartNs && P.Hops.size() < P.Tried.size())
-    P.Hops.emplace_back(P.Tried.back(),
-                        static_cast<double>(NowNs - P.HopStartNs) *
-                            1e-9);
-  auto CIt = ClientsById.find(P.ClientId);
-  if (CIt == ClientsById.end() ||
-      !CIt->second->Pending.count(P.ClientCorr)) {
-    recordFlight(P, "orphan", NowNs);
-    std::lock_guard<std::mutex> Lock(StatsMu);
-    ++Counters.OrphanResponses;
+  P.endHop(NowNs); // the hop that just failed or timed out
+  if (!Host.awaiting(*Loop, P.ClientId, P.ClientCorr)) {
+    orphan(P, NowNs);
     return;
   }
-  if (P.RetriesLeft <= 0) {
+  if (static_cast<int>(P.Tried.size()) > Opts.RetryBudget) {
     rejectPending(P, "upstream", "retry budget exhausted");
     return;
   }
-  --P.RetriesLeft;
   Backend *Next = nullptr;
   for (const std::string &Name :
        Ring.ownersOf(P.Key, Backends.size())) {
@@ -1139,62 +481,55 @@ void Router::retryPending(PendingRequest P, uint64_t NowNs) {
                   "no healthy backend remains for this key");
     return;
   }
-  {
-    std::lock_guard<std::mutex> Lock(StatsMu);
-    ++Counters.Retries;
-  }
+  bump(&RouterStats::Retries);
   RetriesCtr->inc();
   sendToBackend(*Next, std::move(P), NowNs);
+}
+
+void Router::orphan(PendingRequest &P, uint64_t NowNs) {
+  recordFlight(P, "orphan", NowNs);
+  bump(&RouterStats::OrphanResponses);
+  // Sends nothing: it only settles the request's admission.
+  Host.answer(*Loop, P.ClientId, P.ClientCorr, net::FrameType::Reject, "");
 }
 
 void Router::rejectPending(PendingRequest &P, const std::string &Code,
                            const std::string &Reason) {
   if (P.TimerId) {
-    Wheel.cancel(P.TimerId);
+    Host.wheel(*Loop).cancel(P.TimerId);
     P.TimerId = 0;
   }
   recordFlight(P, Code, monotonicNanos());
-  auto It = ClientsById.find(P.ClientId);
-  if (It == ClientsById.end())
-    return;
-  ClientConn &C = *It->second;
-  if (C.Pending.erase(P.ClientCorr) == 0)
-    return;
-  --C.InFlight;
-  sendClientReject(C, P.ClientCorr, Code, Reason);
+  if (Host.awaiting(*Loop, P.ClientId, P.ClientCorr))
+    RejectsCtr->inc();
+  Host.reject(*Loop, P.ClientId, P.ClientCorr, Code, Reason);
 }
 
 void Router::healthTick(uint64_t NowNs) {
   for (auto &BP : Backends) {
     Backend &B = *BP;
-    switch (B.Conn) {
-    case Backend::Link::Idle:
-      startConnect(B, NowNs);
-      break;
-    case Backend::Link::Connecting:
-      break; // the connect timer owns this deadline
-    case Backend::Link::Up:
-      if (B.PingCorr != 0) {
-        // Last tick's probe is still unanswered: the link is not
-        // moving frames, whatever the solver threads are doing.
-        transportFailure(B, "ping unanswered", NowNs);
-        break;
-      }
+    if (!B.Link) {
+      connect(B, NowNs);
+      continue;
+    }
+    if (B.Link->Connecting)
+      continue; // the connect deadline owns this
+    bool Heard = std::exchange(B.Heard, false);
+    if (B.PingCorr != 0 && !Heard) {
+      // Last tick's probe is unanswered and nothing else arrived since:
+      // the link is not moving frames, whatever the solvers are doing.
+      transportFailure(B, NowNs);
+      continue;
+    }
+    if (B.PingCorr == 0) {
       B.PingCorr = B.NextCorr++;
-      B.WriteQ.push_back(
-          net::encodeFrame(net::FrameType::Ping, B.PingCorr, ""));
-      {
-        std::lock_guard<std::mutex> Lock(StatsMu);
-        ++Counters.FramesOut;
-      }
-      updateBackendSubscription(B);
-      break;
+      Host.send(*Loop, *B.Link, net::FrameType::Ping, B.PingCorr, "");
     }
   }
   armHealthTimer(monotonicNanos());
 }
 
 void Router::armHealthTimer(uint64_t NowNs) {
-  Wheel.schedule(NowNs, Opts.HealthIntervalMs * 1'000'000ull,
-                 [this] { healthTick(monotonicNanos()); });
+  Host.wheel(*Loop).schedule(NowNs, Opts.HealthIntervalMs * 1'000'000ull,
+                             [this] { healthTick(monotonicNanos()); });
 }

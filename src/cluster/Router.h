@@ -5,24 +5,28 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The cluster front end: one event-loop thread that is a cdvs-wire v1
-/// *server* to clients and a multiplexed cdvs-wire *client* to every
-/// dvs-server backend. A client Request is parsed (strictly — garbage is
-/// rejected here, not after burning a backend hop), keyed
-/// (cluster/Key.h), hashed onto the consistent ring (cluster/Ring.h),
-/// and proxied to the owning backend by correlation-id remapping: the
-/// router assigns its own upstream id per backend connection, remembers
-/// (client connection, client id), and rewrites the header on the way
-/// back — payloads cross untouched except for an optional
-/// `"backend":"host:port"` annotation spliced into Responses for
-/// loadgen's per-backend breakdown.
+/// The cluster front end: the request handler of a one-reactor
+/// net::Server. The server owns the client side — listener, framing,
+/// write backpressure, idle and slow-frame guards, rejects, drain,
+/// StatsFetch — and the router decides what a request means. It is
+/// parsed (strictly — garbage is rejected here, not after burning a
+/// backend hop), keyed (cluster/Key.h), hashed onto the consistent ring
+/// (cluster/Ring.h), and proxied to the owning backend over an upstream
+/// link, a net::Conn the router dials on the same reactor, by
+/// correlation-id remapping: the router assigns its own upstream id per
+/// link, remembers (client connection, client id), and rewrites the
+/// header on the way back — payloads cross untouched except for an
+/// optional `"backend":"host:port"` annotation spliced into Responses
+/// for loadgen's per-backend breakdown.
 ///
-/// Health and failover, all on the loop's timer wheel:
+/// Health and failover, all on the reactor's timer wheel:
 ///
-///  * every HealthIntervalMs each Up backend is Pinged; an unanswered
-///    ping by the next tick, a failed/timed-out connect, a framing
-///    error, or an unexpected EOF is a transport failure (a slow solve
-///    is NOT — solver latency must never evict a healthy backend);
+///  * every HealthIntervalMs each Up backend is Pinged; a link that
+///    carried no frame at all since the previous tick while its ping is
+///    unanswered, a failed/timed-out connect, a framing error, or an
+///    unexpected EOF is a transport failure (a slow solve or a late
+///    Pong on a link that is answering is NOT — solver latency must
+///    never evict a healthy backend);
 ///  * FailThreshold consecutive failures evict the backend from the
 ///    ring (its keys reassign to ring successors — consistent hashing
 ///    moves only the dead member's ~1/N share);
@@ -38,9 +42,6 @@
 ///    exhausted budget answers Reject{"upstream"} — every admitted
 ///    request gets exactly one answer.
 ///
-/// Graceful drain mirrors net::Server: stop accepting, let in-flight
-/// answers flush, close when quiet.
-///
 //===----------------------------------------------------------------------===//
 
 #ifndef CDVS_CLUSTER_ROUTER_H
@@ -48,22 +49,17 @@
 
 #include "cluster/Address.h"
 #include "cluster/Ring.h"
-#include "net/EventLoop.h"
-#include "net/Wire.h"
+#include "net/Server.h"
 #include "obs/Metrics.h"
 #include "support/RingBuffer.h"
 
 #include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <cstdio>
-#include <deque>
 #include <map>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <string>
-#include <thread>
 #include <vector>
 
 namespace cdvs {
@@ -71,20 +67,17 @@ namespace cluster {
 
 /// Sizing and policy knobs for a Router.
 struct RouterOptions {
-  std::string BindAddress = "127.0.0.1";
-  /// 0 picks an ephemeral port; read it back via Router::port().
-  uint16_t Port = 0;
-  int Backlog = 128;
+  /// The hosting server: bind address, port, connection limit, frame
+  /// cap (both directions), poll backend, and the idle, slow-frame and
+  /// backpressure guards. Reactors must stay 1.
+  net::ServerOptions Server;
   /// Backend addresses ("host:port" each); fixed membership, dynamic
   /// health.
   std::vector<std::string> Backends;
   /// Ring points per backend; must match the backends' PeerFiller.
   int VirtualNodes = 64;
-  /// Accepted client connections beyond this are refused.
-  size_t MaxConnections = 256;
-  /// Per-frame payload cap, both directions.
-  size_t MaxFrameBytes = net::kDefaultMaxPayloadBytes;
-  /// Health-probe cadence; also the ping-answer deadline.
+  /// Health-probe cadence; also the ping-answer deadline of a link that
+  /// carries nothing else.
   uint64_t HealthIntervalMs = 500;
   /// Consecutive transport failures that evict a backend.
   int FailThreshold = 3;
@@ -106,8 +99,6 @@ struct RouterOptions {
   uint64_t SlowLogMs = 0;
   /// Slow-log destination; empty or "-" writes to stderr.
   std::string SlowLogPath;
-  /// Use the portable poll(2) backend even where epoll exists.
-  bool ForcePoll = false;
 };
 
 /// One completed proxied request, as the router's bounded flight
@@ -133,57 +124,56 @@ struct FlightRecord {
   double TotalSeconds = 0.0;
 };
 
-/// Loop-side counters, snapshotted by Router::stats().
+/// Routing counters, snapshotted by Router::stats(). Connection, frame,
+/// reject and protocol-error counts are the hosting server's
+/// (Router::server().stats()).
 struct RouterStats {
-  long ConnectionsAccepted = 0;
-  long ConnectionsRejected = 0; ///< over MaxConnections
-  long ConnectionsClosed = 0;
-  long FramesIn = 0;
-  long FramesOut = 0;
   long RequestsRouted = 0;    ///< proxied sends, retries included
   long ResponsesRelayed = 0;
   long RejectsRelayed = 0;    ///< backend rejects passed through
-  long RejectsSent = 0;       ///< router-originated rejects
   long Retries = 0;
-  long ProtocolErrors = 0;
   long BackendEvictions = 0;
   long BackendReinstatements = 0;
   long UpstreamTimeouts = 0;
   long OrphanResponses = 0;   ///< answer landed after client/id vanished
   size_t HealthyBackends = 0;
-  size_t OpenConnections = 0;
 };
 
 /// The cluster router; see the file comment.
-class Router {
+class Router final : private net::ServerHandler {
 public:
   explicit Router(RouterOptions Opts = RouterOptions());
-  ~Router();
+  ~Router() override;
 
   Router(const Router &) = delete;
   Router &operator=(const Router &) = delete;
 
-  /// Binds, listens, and spawns the loop thread. Backends start
+  /// Binds, listens, and starts the reactor thread. Backends start
   /// optimistic (on the ring, connecting); the first failed probes
   /// evict the ones that are not actually there.
   ErrorOr<bool> start();
 
   /// The bound port (after start(); useful with Port = 0).
-  uint16_t port() const { return BoundPort; }
+  uint16_t port() const { return Host.port(); }
   /// "epoll" or "poll" (after start()).
-  const char *backendName() const { return IoBackend; }
+  const char *backendName() const { return Host.backendName(); }
 
   /// Stop accepting, answer what is in flight, close when quiet.
   /// Idempotent, thread-safe.
-  void beginDrain();
+  void beginDrain() { Host.beginDrain(); }
   /// Waits for the drain to finish. \returns false on timeout;
   /// TimeoutSeconds <= 0 polls once.
-  bool waitDrained(double TimeoutSeconds);
+  bool waitDrained(double TimeoutSeconds) {
+    return Host.waitDrained(TimeoutSeconds);
+  }
 
-  /// Hard stop: closes everything and joins the loop. The destructor
+  /// Hard stop: closes everything and joins the reactor. The destructor
   /// calls this.
   void stop();
 
+  /// The hosting server (its stats() count connections, frames and
+  /// rejects).
+  const net::Server &server() const { return Host; }
   RouterStats stats() const;
   /// (backend name, on-the-ring) pairs — the tests' view of the health
   /// state machine.
@@ -192,24 +182,7 @@ public:
   std::vector<FlightRecord> flightRecords() const;
 
 private:
-  struct ClientConn {
-    int Fd = -1;
-    uint64_t Id = 0;
-    net::FrameParser Parser;
-    std::deque<std::string> WriteQ;
-    size_t WriteOff = 0; ///< bytes of WriteQ.front() already sent
-    long InFlight = 0;   ///< proxied requests not yet answered
-    /// Correlation ids in flight (duplicate detection + exactly-one-
-    /// answer bookkeeping).
-    std::set<uint64_t> Pending;
-    bool SawEof = false;
-    bool CloseAfterFlush = false;
-    unsigned Subscribed = 0;
-
-    explicit ClientConn(size_t MaxPayload) : Parser(MaxPayload) {}
-  };
-
-  /// One proxied request, owned by the backend connection carrying it.
+  /// One proxied request, owned by the backend link carrying it.
   struct PendingRequest {
     uint64_t ClientId = 0;
     uint64_t ClientCorr = 0;
@@ -219,15 +192,14 @@ private:
     /// re-emitted verbatim on every upstream send and failover.
     net::FrameType Kind = net::FrameType::Request;
     Fingerprint128 Key;
-    int RetriesLeft = 0;
     /// Backends this request was already sent to; a retry skips them.
     std::vector<std::string> Tried;
     uint64_t TimerId = 0; ///< upstream-timeout wheel id, 0 = none
     uint64_t StartNs = 0;
-    /// Trace context from the client's Request frame, re-emitted (with
-    /// the router's route span as parent) on every upstream send.
+    /// Trace context from the client's Request frame (invalid when it
+    /// carried none), re-emitted with the router's route span as parent
+    /// on every upstream send.
     net::TraceContext Trace;
-    bool HasTrace = false;
     /// The router's own span id for this request ("route"), allocated
     /// at admission so upstream sends can name it as parent before the
     /// span's completion event is recorded at answer time.
@@ -235,76 +207,62 @@ private:
     uint64_t HopStartNs = 0; ///< when the current upstream send left
     /// Completed hops: (backend, seconds from send to answer/failure).
     std::vector<std::pair<std::string, double>> Hops;
+
+    /// Closes the current hop, once.
+    void endHop(uint64_t NowNs) {
+      if (HopStartNs && Hops.size() < Tried.size())
+        Hops.emplace_back(Tried.back(),
+                          static_cast<double>(NowNs - HopStartNs) * 1e-9);
+    }
   };
 
   struct Backend {
+    int Index = 0; ///< position in Backends; the link's tag
     Address Addr;
     std::string Name; ///< Addr.name(), the ring member string
-    enum class Link { Idle, Connecting, Up } Conn = Link::Idle;
-    bool Healthy = true; ///< on the ring?
+    /// On the ring? Written by the reactor, read by stats() and
+    /// backendHealth() from any thread.
+    std::atomic<bool> Healthy{true};
     int Failures = 0;    ///< consecutive transport failures
-    int Fd = -1;
-    net::FrameParser Parser;
-    std::deque<std::string> WriteQ;
-    size_t WriteOff = 0;
-    unsigned Subscribed = 0;
+    /// The upstream link: null while idle, Connecting until it settles.
+    net::Conn *Link = nullptr;
+    /// Any frame arrived on the link since the last health tick.
+    bool Heard = false;
     uint64_t NextCorr = 1;
     /// Upstream correlation id -> the proxied request it carries.
     std::map<uint64_t, PendingRequest> InFlight;
-    uint64_t PingCorr = 0;     ///< outstanding health probe, 0 = none
-    uint64_t ConnectTimer = 0; ///< wheel id, 0 = none
+    uint64_t PingCorr = 0; ///< outstanding health probe, 0 = none
 
     obs::Counter *RequestsCtr = nullptr;
     obs::Gauge *UpGauge = nullptr;
     obs::Histogram *LatencyHist = nullptr;
-
-    explicit Backend(size_t MaxPayload) : Parser(MaxPayload) {}
   };
 
-  void loop();
-  void teardown();
+  // net::ServerHandler.
+  const char *role() const override { return "router"; }
+  /// The flight records, for StatsFetch scrapes.
+  std::string statsExtras() override;
+  void onStart(net::Reactor &R, uint64_t NowNs) override;
+  void onRequest(net::Reactor &R, net::Conn &C, net::Frame &F,
+                 uint64_t NowNs) override;
+  void onUpstreamFrame(net::Reactor &R, net::Conn &L, net::Frame &F,
+                       uint64_t NowNs) override;
+  void onUpstreamDown(net::Reactor &R, int Link, uint64_t NowNs) override;
 
-  // Client side.
-  void acceptReady(uint64_t NowNs);
-  void clientEvent(uint64_t Id, unsigned Events, uint64_t NowNs);
-  void processClientFrames(ClientConn &C, uint64_t NowNs);
-  void routeRequest(ClientConn &C, net::Frame &F, uint64_t NowNs);
-  /// Answers a StatsFetch with the router's live metrics, trace ring,
-  /// and flight records as a StatsData frame.
-  void handleStatsFetch(ClientConn &C, net::Frame &F);
-  void enqueueClientFrame(ClientConn &C, net::FrameType Type,
-                          uint64_t Correlation,
-                          const std::string &Payload);
-  void sendClientReject(ClientConn &C, uint64_t Correlation,
-                        const std::string &Code,
-                        const std::string &Reason);
-  void flushClient(ClientConn &C);
-  void updateClientSubscription(ClientConn &C);
-  /// Closes now when a soft-closing connection has answered everything.
-  void maybeFinishClient(ClientConn &C);
-  void closeClient(uint64_t Id);
-
-  // Backend side.
+  void bump(long RouterStats::*Field);
   Backend *backendByName(const std::string &Name);
-  void startConnect(Backend &B, uint64_t NowNs);
-  void onBackendConnected(Backend &B);
-  void backendEvent(Backend &B, unsigned Events, uint64_t NowNs);
-  void processBackendFrames(Backend &B, uint64_t NowNs);
+  void connect(Backend &B, uint64_t NowNs);
   void deliver(Backend &B, net::Frame &F, uint64_t NowNs);
-  void flushBackend(Backend &B);
-  void updateBackendSubscription(Backend &B);
   void sendToBackend(Backend &B, PendingRequest P, uint64_t NowNs);
-  /// Closes the link (if any), cancels its timers, and returns the
-  /// requests that were riding it.
-  std::vector<PendingRequest> closeBackendLink(Backend &B);
   /// One consecutive transport failure: close the link, maybe evict,
   /// fail over whatever was in flight.
-  void transportFailure(Backend &B, const std::string &Reason,
-                        uint64_t NowNs);
+  void transportFailure(Backend &B, uint64_t NowNs);
   void markDown(Backend &B);
   /// A completed probe: failures reset, evicted backends rejoin.
   void recover(Backend &B);
   void retryPending(PendingRequest P, uint64_t NowNs);
+  /// Retires \p P, whose client is gone or no longer waits.
+  void orphan(PendingRequest &P, uint64_t NowNs);
   /// Answers the client with a router-originated Reject (routing
   /// failure, exhausted budget).
   void rejectPending(PendingRequest &P, const std::string &Code,
@@ -316,58 +274,34 @@ private:
                     uint64_t NowNs);
   void healthTick(uint64_t NowNs);
   void armHealthTimer(uint64_t NowNs);
-  void startDrainOnLoop();
-  void finishDrainIfIdle();
 
   RouterOptions Opts;
 
-  // Loop-thread-only state.
-  std::unique_ptr<net::Poller> Io;
-  net::TimerWheel Wheel;
-  net::WakeupFd Wakeup;
-  int ListenFd = -1;
+  // Reactor-thread-only state (Backends itself is fixed by start()).
+  net::Reactor *Loop = nullptr;
   std::vector<std::unique_ptr<Backend>> Backends;
-  std::map<int, Backend *> BackendByFd;
-  std::map<uint64_t, std::unique_ptr<ClientConn>> ClientsById;
-  std::map<int, uint64_t> ClientByFd;
   HashRing Ring;
-  uint64_t NextClientId = 1;
-  bool DrainStarted = false;
-  /// Fds closed during the current event wave; later events in the same
-  /// wave that name them are stale (the number may already be reused by
-  /// a reconnect or accept) and are skipped.
-  std::set<int> Tombstones;
 
-  std::thread LoopThread;
-  uint16_t BoundPort = 0;
-  const char *IoBackend = "";
-  bool Started = false;
-
-  // Cross-thread lifecycle + observation.
-  std::atomic<bool> StopRequested{false};
-  std::atomic<bool> DrainRequested{false};
+  // Cross-thread observation.
   mutable std::mutex StatsMu;
-  RouterStats Counters;                  ///< guarded by StatsMu
-  std::map<std::string, bool> HealthView; ///< guarded by StatsMu
-  mutable std::mutex StateMu;
-  std::condition_variable DrainedCv;
-  bool Drained = false;
+  RouterStats Counters; ///< guarded by StatsMu
 
-  // Flight recorder: written by the loop thread, snapshotted by
+  // Flight recorder: written by the reactor thread, snapshotted by
   // flightRecords()/StatsFetch scrapes.
   mutable std::mutex FlightMu;
   RingBuffer<FlightRecord> Flight; ///< guarded by FlightMu
-  std::FILE *SlowLog = nullptr;    ///< loop-thread-only, owned iff not stderr
+  std::FILE *SlowLog = nullptr; ///< reactor-only, owned iff not stderr
   bool SlowLogOwned = false;
 
   obs::Gauge *BackendsGauge = nullptr;
-  obs::Gauge *ClientConnsGauge = nullptr;
   obs::Counter *RetriesCtr = nullptr;
   obs::Counter *EvictionsCtr = nullptr;
   obs::Counter *ReinstatementsCtr = nullptr;
   obs::Counter *RejectsCtr = nullptr;
   obs::Counter *SlowCtr = nullptr;
-  obs::Counter *ScrapesCtr = nullptr;
+
+  /// Last: destroyed (and its reactor joined) first.
+  net::Server Host;
 };
 
 } // namespace cluster

@@ -354,53 +354,60 @@ ErrorOr<uint16_t> cdvs::net::localPort(int Fd) {
   return static_cast<uint16_t>(ntohs(Addr.sin_port));
 }
 
-ErrorOr<int> cdvs::net::connectTcp(const std::string &Host, uint16_t Port,
-                                   int TimeoutMs) {
-  int Fd = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (Fd < 0)
-    return makeError(std::string("socket: ") + std::strerror(errno));
-
+ErrorOr<int> cdvs::net::startConnectTcp(const std::string &Host,
+                                        uint16_t Port) {
   sockaddr_in Addr{};
   Addr.sin_family = AF_INET;
   Addr.sin_port = htons(Port);
-  if (::inet_pton(AF_INET, Host.c_str(), &Addr.sin_addr) != 1) {
-    ::close(Fd);
+  if (::inet_pton(AF_INET, Host.c_str(), &Addr.sin_addr) != 1)
     return makeError("invalid address '" + Host +
                      "' (numeric IPv4 expected)");
-  }
-
-  // Nonblocking connect + poll gives the timeout; flip back to blocking
-  // for the client's simple read/write loop.
+  int Fd = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (Fd < 0)
+    return makeError(std::string("socket: ") + std::strerror(errno));
   if (!setNonBlocking(Fd)) {
     ::close(Fd);
     return makeError("cannot set socket nonblocking");
   }
-  int R = ::connect(Fd, reinterpret_cast<sockaddr *>(&Addr), sizeof(Addr));
-  if (R != 0 && errno != EINPROGRESS) {
+  int One = 1;
+  ::setsockopt(Fd, IPPROTO_TCP, TCP_NODELAY, &One, sizeof(One));
+  if (::connect(Fd, reinterpret_cast<sockaddr *>(&Addr), sizeof(Addr)) !=
+          0 &&
+      errno != EINPROGRESS) {
     std::string E = std::strerror(errno);
     ::close(Fd);
     return makeError("connect " + Host + ":" + std::to_string(Port) +
                      ": " + E);
   }
-  if (R != 0) {
-    pollfd P{};
-    P.fd = Fd;
-    P.events = POLLOUT;
-    int N = ::poll(&P, 1, TimeoutMs);
-    int SoErr = 0;
-    socklen_t Len = sizeof(SoErr);
-    if (N <= 0 ||
-        ::getsockopt(Fd, SOL_SOCKET, SO_ERROR, &SoErr, &Len) != 0 ||
-        SoErr != 0) {
-      std::string E = N <= 0 ? "timed out" : std::strerror(SoErr);
-      ::close(Fd);
-      return makeError("connect " + Host + ":" + std::to_string(Port) +
-                       ": " + E);
-    }
+  return Fd;
+}
+
+int cdvs::net::socketError(int Fd) {
+  int Err = 0;
+  socklen_t Len = sizeof(Err);
+  if (::getsockopt(Fd, SOL_SOCKET, SO_ERROR, &Err, &Len) != 0)
+    return errno ? errno : EIO;
+  return Err;
+}
+
+ErrorOr<int> cdvs::net::connectTcp(const std::string &Host, uint16_t Port,
+                                   int TimeoutMs) {
+  ErrorOr<int> Fd = startConnectTcp(Host, Port);
+  if (!Fd)
+    return Fd;
+  // Wait for the connect to settle, then flip back to blocking for the
+  // client's simple read/write loop.
+  pollfd P{};
+  P.fd = *Fd;
+  P.events = POLLOUT;
+  int N = ::poll(&P, 1, TimeoutMs);
+  int Err = N > 0 ? socketError(*Fd) : 0;
+  if (N <= 0 || Err != 0) {
+    ::close(*Fd);
+    return makeError("connect " + Host + ":" + std::to_string(Port) +
+                     ": " + (N <= 0 ? "timed out" : std::strerror(Err)));
   }
-  int Flags = ::fcntl(Fd, F_GETFL, 0);
-  ::fcntl(Fd, F_SETFL, Flags & ~O_NONBLOCK);
-  int One = 1;
-  ::setsockopt(Fd, IPPROTO_TCP, TCP_NODELAY, &One, sizeof(One));
+  int Flags = ::fcntl(*Fd, F_GETFL, 0);
+  ::fcntl(*Fd, F_SETFL, Flags & ~O_NONBLOCK);
   return Fd;
 }

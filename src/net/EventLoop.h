@@ -10,7 +10,8 @@
 /// fallback stays tested), a hashed TimerWheel for the server's idle and
 /// request deadlines, a WakeupFd that lets worker threads nudge the
 /// event loop (eventfd, or a self-pipe where eventfd is unavailable),
-/// and small nonblocking-TCP helpers shared with net::Client.
+/// and small nonblocking-TCP helpers shared by net::Server (its listeners
+/// and upstream links) and net::Client.
 ///
 /// Everything here is single-owner: a Poller/TimerWheel belongs to one
 /// loop thread and is not thread-safe; WakeupFd::notify() is the one
@@ -160,9 +161,19 @@ ErrorOr<int> listenTcp(const std::string &BindAddress, uint16_t Port,
 /// The locally bound port of \p Fd (after listenTcp with port 0).
 ErrorOr<uint16_t> localPort(int Fd);
 
-/// Blocking-style TCP connect with a timeout, returning a *blocking*
-/// connected socket (TCP_NODELAY set — the wire protocol is
-/// request/response and Nagle would serialize pipelined frames).
+/// Starts a nonblocking TCP connect to numeric IPv4 \p Host:\p Port
+/// and returns the nonblocking socket (TCP_NODELAY set — the wire
+/// protocol is request/response and Nagle would serialize pipelined
+/// frames). The connect may still be in progress: the socket turns
+/// writable when it settles, and socketError() then tells how.
+ErrorOr<int> startConnectTcp(const std::string &Host, uint16_t Port);
+
+/// The pending error of \p Fd (SO_ERROR): 0 once a nonblocking connect
+/// has succeeded, an errno value when it failed.
+int socketError(int Fd);
+
+/// Blocking connect with a timeout: startConnectTcp() plus a wait,
+/// returning a *blocking* connected socket.
 ErrorOr<int> connectTcp(const std::string &Host, uint16_t Port,
                         int TimeoutMs);
 

@@ -1,4 +1,4 @@
-//===- net/Server.h - multi-reactor DVS scheduling server -------*- C++ -*-===//
+//===- net/Server.h - multi-reactor cdvs-wire server ------------*- C++ -*-===//
 //
 // Part of the cdvs project (PLDI 2003 compile-time DVS reproduction).
 //
@@ -15,12 +15,19 @@
 /// one listener and round-robins accepted fds to its peers through
 /// per-reactor handoff queues and a wakeup-fd nudge.
 ///
-/// Jobs run on the embedded SchedulerService's worker threads;
+/// What a job frame means is the ServerHandler's business. The default
+/// handler bridges job frames onto an embedded SchedulerService
+/// (dvs-server): jobs run on the service's worker threads, and
 /// completions come back through a *per-reactor* lock-free MPSC queue
 /// (worker threads push, the owning reactor drains on wakeup), so
 /// response routing never takes a lock shared between reactors.
-/// Responses stream out of order per connection, matched by the
-/// correlation id the client chose.
+/// cluster::Router is the other handler (dvs-router): it forwards each
+/// request over an upstream link — a Conn it dials on the same reactor,
+/// polled beside the accepted connections — and relays the answer.
+/// Either way responses stream out of order per connection, matched by
+/// the correlation id the client chose, and the server owns everything
+/// around the handler: sockets, framing, admission bookkeeping, Ping,
+/// StatsFetch, and the guards below.
 ///
 /// Robustness edges, all enforced per connection on its owning reactor:
 ///
@@ -40,7 +47,7 @@
 ///    SlowFrameTimeoutMs (slowloris) draws Reject{"slow_frame"} and
 ///    closes;
 ///  * overload shedding: when a reactor's count of admitted-but-
-///    unanswered jobs crosses ShedHighWater, lax requests (deadline
+///    unanswered requests crosses ShedHighWater, lax requests (deadline
 ///    tightness at or above ShedLaxTightness, peeked from the payload
 ///    without a full JSON parse) answer Reject{"shed"}; past
 ///    ShedHardWater every request sheds, regardless of class — so a
@@ -52,31 +59,26 @@
 ///    Response, exactly like dvsd;
 ///  * graceful drain (beginDrain(), wired to SIGTERM in dvs-server):
 ///    every reactor closes its listener, stops reading, lets every
-///    already-admitted job complete and flush, then closes its
+///    already-admitted request answer and flush, then closes its client
 ///    connections; waitDrained() observers wake once the last reactor
-///    quiesces.
+///    quiesces. Upstream links stay up until stop().
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef CDVS_NET_SERVER_H
 #define CDVS_NET_SERVER_H
 
+#include "net/Conn.h"
 #include "net/EventLoop.h"
 #include "net/Wire.h"
-#include "obs/Metrics.h"
-#include "obs/Trace.h"
 #include "service/Service.h"
 
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
-#include <map>
 #include <memory>
 #include <mutex>
-#include <set>
 #include <string>
-#include <thread>
 #include <vector>
 
 namespace cdvs {
@@ -129,7 +131,8 @@ struct ServerOptions {
   int SocketSendBufferBytes = 0;
   /// Use the portable poll(2) backend even where epoll exists.
   bool ForcePoll = false;
-  /// Configuration of the embedded SchedulerService.
+  /// Configuration of the embedded SchedulerService (the default
+  /// handler only).
   ServiceOptions Service;
 };
 
@@ -142,7 +145,7 @@ struct ServerStats {
   long FramesOut = 0;
   long long BytesIn = 0;
   long long BytesOut = 0;
-  long RejectsSent = 0;    ///< Reject frames of any code
+  long RejectsSent = 0;    ///< Reject frames this server originated
   long ProtocolErrors = 0; ///< framing errors (reject-then-close)
   long IdleCloses = 0;
   long RequestTimeouts = 0;
@@ -152,14 +155,53 @@ struct ServerStats {
   long PeerFetchHits = 0;      ///< ...that found a cached schedule
   long HandoffAccepts = 0;     ///< connections adopted via fd handoff
   long ReadPauses = 0;         ///< backpressure engagements
-  long OrphanCompletions = 0;  ///< job finished after its conn closed
-  size_t OpenConnections = 0;  ///< currently open
+  long OrphanCompletions = 0;  ///< answer came after its conn closed
+  size_t OpenConnections = 0;  ///< client connections currently open
 };
 
-/// The scheduling server; see the file comment.
+/// One reactor thread's event loop and everything it owns. Opaque
+/// outside Server.cpp: handlers pass it back to the Server calls below.
+struct Reactor;
+
+/// The role-specific half of a Server; see the file comment. Every call
+/// runs on the thread of the reactor it names.
+class ServerHandler {
+public:
+  virtual ~ServerHandler() = default;
+  /// The StatsData "role"; the trace render names the process
+  /// "dvs-<role>".
+  virtual const char *role() const = 0;
+  /// Extra StatsData members, each with a leading comma.
+  virtual std::string statsExtras() { return {}; }
+  /// Once per reactor, from Server::start() before the reactor's thread
+  /// runs.
+  virtual void onStart(Reactor &, uint64_t /*NowNs*/) {}
+  /// Once per loop turn, before the reactor polls.
+  virtual void onWake(Reactor &, uint64_t /*NowNs*/) {}
+  /// An admitted job frame (Request or GraphRequest) on client \p C,
+  /// with the frame's trace context installed. Settle it exactly once,
+  /// now or later, with Server::answer() or Server::reject().
+  virtual void onRequest(Reactor &R, Conn &C, Frame &F,
+                         uint64_t NowNs) = 0;
+  /// A PeerFetch probe. \returns false when this role takes none, and
+  /// the server rejects the frame as one a client may not send.
+  virtual bool onPeerFetch(Reactor &, Conn &, Frame &) { return false; }
+  /// Upstream links (Server::dial): a frame arrived, or the link failed
+  /// (it is already closed).
+  virtual void onUpstreamFrame(Reactor &, Conn &, Frame &,
+                               uint64_t /*NowNs*/) {}
+  virtual void onUpstreamDown(Reactor &, int /*Link*/,
+                              uint64_t /*NowNs*/) {}
+};
+
+/// The cdvs-wire server; see the file comment.
 class Server {
 public:
+  /// A scheduling server: job frames run on an embedded
+  /// SchedulerService configured by Opts.Service.
   explicit Server(ServerOptions Opts = ServerOptions());
+  /// A server whose job frames go to \p H, which must outlive it.
+  Server(ServerOptions Opts, ServerHandler &H);
   ~Server();
 
   Server(const Server &) = delete;
@@ -180,17 +222,17 @@ public:
   /// the accept-handoff fallback (after start()).
   bool usingReusePort() const { return ReusePortActive; }
 
-  /// The embedded scheduling service (tests pause/resume it; the tool
-  /// reads its stats).
-  SchedulerService &service() { return Service; }
+  /// The embedded scheduling service (default handler only; tests
+  /// pause/resume it, the tool reads its stats).
+  SchedulerService &service();
 
   /// Starts a graceful drain: stop accepting, stop reading, let every
-  /// admitted job complete and flush, then close. Idempotent,
+  /// admitted request answer and flush, then close. Idempotent,
   /// thread-safe, safe from signal-handler-adjacent contexts (one
   /// atomic store + N write syscalls).
   void beginDrain();
 
-  /// Waits until the drain finished (every reactor closed every
+  /// Waits until the drain finished (every reactor closed every client
   /// connection). \returns false on timeout. TimeoutSeconds <= 0 polls
   /// once.
   bool waitDrained(double TimeoutSeconds);
@@ -201,106 +243,36 @@ public:
 
   ServerStats stats() const;
 
+  // Handler calls: reactor thread only, naming the calling reactor.
+
+  /// Settles admitted request \p Corr of connection \p ConnId with one
+  /// frame. \returns false, sending nothing, when the connection closed
+  /// or the request timed out meanwhile (an orphan).
+  bool answer(Reactor &R, uint64_t ConnId, uint64_t Corr, FrameType Type,
+              const std::string &Payload);
+  /// answer() with a Reject{Code, Reason} frame.
+  bool reject(Reactor &R, uint64_t ConnId, uint64_t Corr,
+              const std::string &Code, const std::string &Reason);
+  /// True while request \p Corr of \p ConnId still awaits its answer.
+  bool awaiting(Reactor &R, uint64_t ConnId, uint64_t Corr) const;
+  /// Opens an upstream link tagged \p Link to \p Host:\p Port. Frames
+  /// sent before the connect settles queue; a connect that fails, or is
+  /// still pending after \p TimeoutMs, ends in onUpstreamDown.
+  /// \returns the error of a connect that fails at once.
+  ErrorOr<Conn *> dial(Reactor &R, const std::string &Host, uint16_t Port,
+                       uint64_t TimeoutMs, int Link);
+  /// Queues one frame on \p C; the reactor writes it before it next
+  /// polls. A link whose write fails then closes with onUpstreamDown.
+  void send(Reactor &R, Conn &C, FrameType Type, uint64_t Corr,
+            const std::string &Payload,
+            const TraceContext *Trace = nullptr);
+  /// Closes connection \p ConnId; on an upstream link, \p Failed
+  /// reports it to onUpstreamDown.
+  void close(Reactor &R, uint64_t ConnId, bool Failed = false);
+  TimerWheel &wheel(Reactor &R);
+
 private:
-  struct Connection {
-    int Fd = -1;
-    uint64_t Id = 0;
-    FrameParser Parser;
-    std::deque<std::string> WriteQ;
-    size_t WriteQBytes = 0;
-    size_t WriteOff = 0; ///< bytes of WriteQ.front() already sent
-    int InFlight = 0;    ///< jobs admitted, response not yet queued
-    bool ReadPaused = false;
-    /// Hard close: drop the connection once WriteQ drains (framing
-    /// error, idle timeout).
-    bool CloseAfterFlush = false;
-    /// Soft close (peer half-closed): close once WriteQ drains AND
-    /// every in-flight job has answered.
-    bool SawEof = false;
-    unsigned Subscribed = 0; ///< EvIn/EvOut bits currently registered
-    uint64_t IdleTimer = 0;  ///< wheel id, 0 = none
-    uint64_t SlowTimer = 0;  ///< partial-frame (slowloris) wheel id
-    /// In-flight request bookkeeping, keyed by correlation id.
-    std::map<uint64_t, uint64_t> StartNs;
-    std::map<uint64_t, uint64_t> RequestTimers;
-    std::set<uint64_t> TimedOut;
-    /// Lifetime span ("conn" on the net category); ends at close.
-    std::unique_ptr<obs::TraceSpan> Span;
-
-    explicit Connection(size_t MaxPayload) : Parser(MaxPayload) {}
-  };
-
-  struct Completion {
-    uint64_t ConnId = 0;
-    uint64_t Correlation = 0;
-    std::string Payload; ///< response JSON, serialized on the worker
-    /// Response for single-program jobs, GraphResponse for graph jobs —
-    /// the answer frame mirrors the request frame's kind.
-    FrameType Type = FrameType::Response;
-  };
-
-  /// Lock-free MPSC handoff from pipeline workers to one reactor:
-  /// push() is a CAS loop on an intrusive Treiber list (any thread),
-  /// drainTo() exchanges the whole list and reverses it (owner reactor
-  /// only). Depth is tracked for the completion-queue-depth gauge.
-  class CompletionQueue {
-  public:
-    ~CompletionQueue();
-    void push(Completion C);
-    /// Appends all pending completions to \p Out in rough FIFO order.
-    void drainTo(std::vector<Completion> &Out);
-    long depth() const { return Depth.load(std::memory_order_relaxed); }
-
-  private:
-    struct Node {
-      Completion C;
-      Node *Next = nullptr;
-    };
-    std::atomic<Node *> Head{nullptr};
-    std::atomic<long> Depth{0};
-  };
-
-  /// Everything one reactor thread owns. Only CQ, Handoff(+mutex),
-  /// Wakeup, and the Counters mutex are ever touched by other threads.
-  struct Reactor {
-    int Index = 0;
-    std::unique_ptr<Poller> Io;
-    TimerWheel Wheel;
-    WakeupFd Wakeup;
-    int ListenFd = -1; ///< own REUSEPORT listener, or reactor 0's only
-    std::thread Thread;
-
-    // Reactor-thread-only connection state.
-    std::map<int, std::unique_ptr<Connection>> ByFd;
-    std::map<uint64_t, Connection *> ById;
-    uint64_t NextConnId = 1; ///< seeded Index+1, stepped by NumReactors
-    bool DrainStarted = false;
-    bool DrainedLocal = false;
-    /// Jobs admitted from this reactor, completion not yet delivered —
-    /// the shedding watermark input.
-    long PendingJobs = 0;
-
-    /// Worker threads push completed jobs here; Wakeup nudges the loop.
-    CompletionQueue CQ;
-    /// Accept-handoff fallback: reactor 0 pushes accepted fds here.
-    std::mutex HandoffMu;
-    std::vector<int> Handoff;
-
-    mutable std::mutex StatsMu;
-    ServerStats Counters; ///< guarded by StatsMu
-
-    // Per-reactor instruments, registered once in Server::start() so
-    // the frame hot path never touches the registry lock.
-    obs::Counter *AcceptsCtr = nullptr;
-    obs::Counter *FramesInCtr = nullptr;
-    obs::Counter *FramesOutCtr = nullptr;
-    obs::Counter *BytesInCtr = nullptr;
-    obs::Counter *BytesOutCtr = nullptr;
-    obs::Gauge *OpenGauge = nullptr;
-    obs::Gauge *DrainGauge = nullptr;
-    obs::Gauge *CqDepthGauge = nullptr;
-    obs::Histogram *LatencyHist = nullptr;
-  };
+  class ServiceBridge;
 
   void loop(Reactor &R);
   void teardown(Reactor &R);
@@ -308,44 +280,41 @@ private:
   void adoptHandoff(Reactor &R, uint64_t NowNs);
   void adoptConnection(Reactor &R, int Fd, uint64_t NowNs);
   void rejectAccept(Reactor &R, int Fd);
-  void readReady(Reactor &R, Connection &C, uint64_t NowNs);
-  void writeReady(Reactor &R, Connection &C);
+  void connectSettled(Reactor &R, Conn &L);
+  void readReady(Reactor &R, Conn &C, uint64_t NowNs);
+  void writeReady(Reactor &R, Conn &C);
+  void flushDirty(Reactor &R);
   /// \returns the number of complete frames extracted (slow-frame
   /// progress tracking).
-  size_t processFrames(Reactor &R, Connection &C, uint64_t NowNs);
-  /// Admits one job frame (Request or GraphRequest — the frame kind
-  /// must match the payload: a Request carrying a "graph" object, or a
-  /// GraphRequest without one, draws Reject{"bad_request"}). The
-  /// completion answers with the mirroring response frame kind.
-  void handleRequest(Reactor &R, Connection &C, Frame &F, uint64_t NowNs);
-  /// Answers a backend-to-backend PeerFetch cache probe with PeerData
-  /// (found + serialized schedule, or a miss) from the service's result
-  /// cache — a peek, so peer probes never skew hit/miss counters or LRU
-  /// recency.
-  void handlePeerFetch(Reactor &R, Connection &C, Frame &F);
+  size_t processFrames(Reactor &R, Conn &C, uint64_t NowNs);
+  /// Admits one job frame (duplicate id, drain and shed checks, then
+  /// the in-flight bookkeeping) and hands it to the handler.
+  void handleRequest(Reactor &R, Conn &C, Frame &F, uint64_t NowNs);
   /// Answers a StatsFetch live-scrape probe with a StatsData bundle:
   /// process role, metrics exposition, and the recent trace buffer
   /// (dvs-stat --scrape merges these across endpoints).
-  void handleStatsFetch(Reactor &R, Connection &C, Frame &F);
+  void handleStatsFetch(Reactor &R, Conn &C, Frame &F);
+  /// Reject-then-close for a framing error or a frame a client may not
+  /// send; a link just closes.
+  void protocolError(Reactor &R, Conn &C, uint64_t Correlation,
+                     const std::string &Code, const std::string &Reason);
   /// \returns the shed class ("lax"/"hard") when the reactor's pending
   /// count says this request must be refused, nullptr to admit.
   const char *shedClass(const Reactor &R, const Frame &F) const;
-  void handleCompletions(Reactor &R, uint64_t NowNs);
-  void enqueueFrame(Reactor &R, Connection &C, FrameType Type,
-                    uint64_t Correlation, const std::string &Payload);
-  void sendReject(Reactor &R, Connection &C, uint64_t Correlation,
+  void sendReject(Reactor &R, Conn &C, uint64_t Correlation,
                   const std::string &Code, const std::string &Reason);
-  void updateSubscription(Reactor &R, Connection &C);
-  void armIdleTimer(Reactor &R, Connection &C, uint64_t NowNs);
-  void trackFrameProgress(Reactor &R, Connection &C, size_t Extracted,
+  void updateSubscription(Reactor &R, Conn &C);
+  void armIdleTimer(Reactor &R, Conn &C, uint64_t NowNs,
+                    uint64_t DelayNs);
+  void trackFrameProgress(Reactor &R, Conn &C, size_t Extracted,
                           uint64_t NowNs);
-  void closeConnection(Reactor &R, uint64_t ConnId);
   void startDrainOnLoop(Reactor &R);
   void finishDrainIfIdle(Reactor &R);
   void updateConnectionGauges(Reactor &R);
 
   ServerOptions Opts;
-  SchedulerService Service;
+  std::unique_ptr<ServiceBridge> Bridge; ///< default handler, if used
+  ServerHandler *H = nullptr;
 
   std::vector<std::unique_ptr<Reactor>> Reactors;
   int NumReactors = 0;
@@ -356,7 +325,7 @@ private:
   /// only).
   size_t HandoffCursor = 0;
   /// Server-wide open-connection count for the MaxConnections limit
-  /// (each reactor only sees its own ByFd).
+  /// (each reactor only sees its own clients).
   std::atomic<long> OpenConns{0};
 
   // Cross-thread lifecycle.

@@ -9,6 +9,10 @@
 //
 // Backends solve real MILPs, so timeouts are generous (sanitizer builds
 // run these too); assertions are on ordering and state, never speed.
+// The health-liveness cases run against a scripted fake backend that
+// can withhold Pongs or fall silent on demand; the guard cases check
+// that the hosting net::Server's reject-then-close contract (the one
+// the net tests pin) holds on the router too.
 //
 //===----------------------------------------------------------------------===//
 
@@ -18,6 +22,7 @@
 #include "cluster/Router.h"
 
 #include "net/Client.h"
+#include "net/EventLoop.h"
 #include "net/Server.h"
 #include "obs/Metrics.h"
 #include "service/JobIO.h"
@@ -26,6 +31,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -35,6 +41,8 @@
 #include <thread>
 #include <vector>
 
+#include <poll.h>
+#include <sys/socket.h>
 #include <unistd.h>
 
 using namespace cdvs;
@@ -123,6 +131,107 @@ double tightnessOwnedBy(const HashRing &Ring, const std::string &Owner) {
   return 0.5;
 }
 
+/// Reads the next frame and expects Reject{\p Code}, then the server's
+/// close: the contract every net::Server guard keeps.
+void expectRejectThenClose(net::Client &C, const std::string &Code) {
+  ErrorOr<net::Frame> F = C.readFrame(kFrameWaitMs);
+  ASSERT_TRUE(F.hasValue()) << F.message();
+  EXPECT_EQ(F->Type, net::FrameType::Reject);
+  ErrorOr<net::RejectInfo> R = net::decodeReject(F->Payload);
+  ASSERT_TRUE(R.hasValue());
+  EXPECT_EQ(R->Code, Code);
+  EXPECT_FALSE(C.readFrame(kFrameWaitMs).hasValue()) << "expected EOF";
+}
+
+/// A scripted backend on a test thread: a listenTcp socket plus one
+/// FrameParser per accepted connection. It answers Requests with a
+/// canned Response and Pings with Pongs, as the mode allows.
+class FakeBackend {
+public:
+  enum Mode { AnswerAll, WithholdPongs, Silent };
+  std::atomic<int> Behavior{AnswerAll};
+  std::atomic<int> PongsSent{0};
+
+  FakeBackend() {
+    ErrorOr<int> L = net::listenTcp("127.0.0.1", 0, 16);
+    EXPECT_TRUE(L.hasValue()) << L.message();
+    ListenFd = L ? *L : -1;
+    ErrorOr<uint16_t> P = net::localPort(ListenFd);
+    Port = P ? *P : 0;
+    Thread = std::thread([this] { run(); });
+  }
+  ~FakeBackend() {
+    Stop = true;
+    Thread.join();
+    ::close(ListenFd);
+  }
+  std::string name() const { return "127.0.0.1:" + std::to_string(Port); }
+
+private:
+  struct Peer {
+    int Fd;
+    net::FrameParser Parser;
+  };
+
+  void run() {
+    std::vector<std::unique_ptr<Peer>> Peers;
+    while (!Stop) {
+      std::vector<pollfd> Fds{{ListenFd, POLLIN, 0}};
+      for (const auto &P : Peers)
+        Fds.push_back({P->Fd, POLLIN, 0});
+      if (::poll(Fds.data(), Fds.size(), 5) <= 0)
+        continue;
+      if (Fds[0].revents) {
+        int Fd = ::accept(ListenFd, nullptr, nullptr);
+        if (Fd >= 0)
+          Peers.push_back(std::make_unique<Peer>(Peer{Fd, net::FrameParser()}));
+      }
+      for (size_t I = 1; I < Fds.size(); ++I) {
+        if (!Fds[I].revents)
+          continue;
+        Peer &P = *Peers[I - 1];
+        char Buf[4096];
+        ssize_t N = ::recv(P.Fd, Buf, sizeof(Buf), MSG_DONTWAIT);
+        if (N == 0) {
+          ::close(P.Fd);
+          P.Fd = -1;
+          continue;
+        }
+        if (N > 0)
+          P.Parser.feed(Buf, static_cast<size_t>(N));
+        net::Frame F;
+        while (P.Parser.next(F) == net::FrameParser::Next::Frame)
+          answer(P, F);
+      }
+      for (size_t I = Peers.size(); I-- > 0;)
+        if (Peers[I]->Fd < 0)
+          Peers.erase(Peers.begin() + static_cast<long>(I));
+    }
+    for (const auto &P : Peers)
+      ::close(P->Fd);
+  }
+
+  void answer(Peer &P, const net::Frame &F) {
+    int M = Behavior.load();
+    std::string Out;
+    if (F.Type == net::FrameType::Request && M != Silent)
+      Out = net::encodeFrame(net::FrameType::Response, F.Correlation,
+                             "{\"id\":\"fake\",\"status\":\"done\"}");
+    else if (F.Type == net::FrameType::Ping && M == AnswerAll)
+      Out = net::encodeFrame(net::FrameType::Pong, F.Correlation, "");
+    if (Out.empty())
+      return;
+    (void)::send(P.Fd, Out.data(), Out.size(), MSG_NOSIGNAL);
+    if (F.Type == net::FrameType::Ping)
+      ++PongsSent;
+  }
+
+  int ListenFd = -1;
+  uint16_t Port = 0;
+  std::atomic<bool> Stop{false};
+  std::thread Thread;
+};
+
 TEST(ClusterRouter, ProxiesAndAnnotatesTheBackend) {
   net::Server B(backendOptions());
   startOrDie(B);
@@ -146,10 +255,10 @@ TEST(ClusterRouter, ProxiesAndAnnotatesTheBackend) {
   EXPECT_EQ(Again->ScheduleText, Res->ScheduleText);
 
   RouterStats S = R.stats();
-  EXPECT_EQ(S.ConnectionsAccepted, 1);
+  EXPECT_EQ(R.server().stats().ConnectionsAccepted, 1);
   EXPECT_GE(S.RequestsRouted, 2);
   EXPECT_EQ(S.ResponsesRelayed, 2);
-  EXPECT_EQ(S.RejectsSent, 0);
+  EXPECT_EQ(R.server().stats().RejectsSent, 0);
   EXPECT_EQ(S.OrphanResponses, 0);
 }
 
@@ -228,7 +337,7 @@ TEST(ClusterRouter, MidFlightKillRetriesOnNextOwnerWithoutDuplicates) {
   RouterStats S = R.stats();
   EXPECT_GE(S.Retries, 1);
   EXPECT_GE(S.BackendEvictions, 1);
-  EXPECT_EQ(S.RejectsSent, 0);
+  EXPECT_EQ(R.server().stats().RejectsSent, 0);
 
   // ... and only one: nothing else arrives for this connection.
   ErrorOr<net::Frame> Extra = C.readFrame(400);
@@ -309,7 +418,7 @@ TEST(ClusterRouter, EmptyRingDrawsNoBackendsReject) {
   ASSERT_FALSE(Res.hasValue());
   EXPECT_NE(Res.message().find("no_backends"), std::string::npos)
       << Res.message();
-  EXPECT_GE(R.stats().RejectsSent, 1);
+  EXPECT_GE(R.server().stats().RejectsSent, 1);
 }
 
 TEST(ClusterRouter, FlightRecorderCapturesTracedRequestAndStatsScrape) {
@@ -390,6 +499,13 @@ TEST(ClusterRouter, FlightRecorderCapturesTracedRequestAndStatsScrape) {
     EXPECT_NE(Metrics->Str.find("cdvs_cluster_requests_total"),
               std::string::npos);
     EXPECT_NE(Metrics->Str.find("cdvs_cluster_slow_requests_total"),
+              std::string::npos);
+    // The hosting server's series: this very probe is counted, and the
+    // open client connections are gauged.
+    EXPECT_NE(Metrics->Str.find(
+                  "cdvs_net_frames_total{type=\"stats_fetch\",dir=\"in\""),
+              std::string::npos);
+    EXPECT_NE(Metrics->Str.find("cdvs_net_connections{state=\"open\""),
               std::string::npos);
     break;
   }
@@ -544,6 +660,81 @@ TEST(ClusterRouter, DrainAnswersInFlightThenCloses) {
   EXPECT_TRUE(R.waitDrained(120.0));
   // The listener is gone.
   EXPECT_FALSE(net::Client::connect("127.0.0.1", R.port()).hasValue());
+}
+
+TEST(ClusterRouter, LatePongsDoNotEvictABackendThatIsAnswering) {
+  // A stalled host answers requests but holds its Pongs past the probe
+  // deadline. Frames on the link prove it alive: no eviction.
+  FakeBackend Fake;
+  Router R(routerOptions({Fake.name()}));
+  ErrorOr<bool> Started = R.start();
+  ASSERT_TRUE(Started.hasValue()) << Started.message();
+  ASSERT_TRUE(eventually(30.0, [&] { return Fake.PongsSent >= 1; }))
+      << "the router never probed the fake backend";
+  Fake.Behavior = FakeBackend::WithholdPongs;
+
+  net::Client C = connectOrDie(R);
+  int Answered = 0;
+  uint64_t End = monotonicNanos() + 8 * 50'000'000ull; // 8 intervals
+  while (monotonicNanos() < End) {
+    ErrorOr<uint64_t> Corr = C.sendRequest(gsmJob("busy"));
+    ASSERT_TRUE(Corr.hasValue()) << Corr.message();
+    ErrorOr<net::Frame> F = C.readFrame(kFrameWaitMs);
+    ASSERT_TRUE(F.hasValue()) << F.message();
+    ASSERT_EQ(F->Type, net::FrameType::Response) << F->Payload;
+    ++Answered;
+  }
+  EXPECT_GT(Answered, 0);
+  EXPECT_TRUE(backendOnRing(R, Fake.name()));
+  EXPECT_EQ(R.stats().BackendEvictions, 0);
+}
+
+TEST(ClusterRouter, SilentBackendIsStillEvicted) {
+  // A backend that stops answering anything fails its next probe.
+  FakeBackend Fake;
+  Router R(routerOptions({Fake.name()}));
+  ErrorOr<bool> Started = R.start();
+  ASSERT_TRUE(Started.hasValue()) << Started.message();
+  ASSERT_TRUE(eventually(30.0, [&] { return Fake.PongsSent >= 1; }));
+  ASSERT_TRUE(backendOnRing(R, Fake.name()));
+
+  Fake.Behavior = FakeBackend::Silent;
+  ASSERT_TRUE(eventually(30.0, [&] { return !backendOnRing(R, Fake.name()); }))
+      << "a silent backend stayed on the ring";
+  EXPECT_GE(R.stats().BackendEvictions, 1);
+}
+
+TEST(ClusterRouter, SlowFrameDrawsTheServersRejectThenClose) {
+  FakeBackend Fake;
+  RouterOptions O = routerOptions({Fake.name()});
+  O.Server.SlowFrameTimeoutMs = 60;
+  Router R(O);
+  ErrorOr<bool> Started = R.start();
+  ASSERT_TRUE(Started.hasValue()) << Started.message();
+  net::Client C = connectOrDie(R);
+
+  // Dribble half a header, then stall — classic slowloris.
+  std::string F = net::encodeFrame(net::FrameType::Request, 9, "{\"x\":1}");
+  ASSERT_TRUE(C.sendRaw(F.data(), 6).hasValue());
+  expectRejectThenClose(C, "slow_frame");
+  EXPECT_EQ(R.server().stats().SlowFrameCloses, 1);
+}
+
+TEST(ClusterRouter, ConnectionLimitDrawsTheServersOverloadedReject) {
+  FakeBackend Fake;
+  RouterOptions O = routerOptions({Fake.name()});
+  O.Server.MaxConnections = 1;
+  Router R(O);
+  ErrorOr<bool> Started = R.start();
+  ASSERT_TRUE(Started.hasValue()) << Started.message();
+
+  net::Client C1 = connectOrDie(R);
+  ASSERT_TRUE(C1.ping().hasValue());
+  ASSERT_TRUE(C1.readFrame(kFrameWaitMs).hasValue());
+
+  net::Client C2 = connectOrDie(R);
+  expectRejectThenClose(C2, "overloaded");
+  EXPECT_EQ(R.server().stats().ConnectionsRejected, 1);
 }
 
 } // namespace

@@ -1,8 +1,9 @@
 //===- tools/dvs-router.cpp - cluster sharding front end -------------------===//
 //
 // Shards cdvs-wire v1 requests across dvs-server backends on a
-// consistent-hash ring (cluster::Router). Clients speak to the router
-// exactly as they would to one dvs-server; the router keys each request
+// consistent-hash ring (cluster::Router, hosted by a one-reactor
+// net::Server). Clients speak to the router exactly as they would to
+// one dvs-server, guards included; the router keys each request
 // (cluster/Key.h), proxies it to the ring owner, health-checks backends
 // on a timer (evicting after --fail-threshold consecutive transport
 // failures, reinstating on an answered probe), and fails idempotent
@@ -143,14 +144,16 @@ int main(int argc, char **argv) {
   }
 
   cluster::RouterOptions O;
-  O.BindAddress = Bind;
-  O.Port = static_cast<uint16_t>(Port);
+  O.Server.BindAddress = Bind;
+  O.Server.Port = static_cast<uint16_t>(Port);
+  O.Server.MaxConnections =
+      static_cast<size_t>(MaxConns < 1 ? 1 : MaxConns);
+  O.Server.MaxFrameBytes =
+      static_cast<size_t>(MaxFrameKb < 1 ? 1 : MaxFrameKb) * 1024;
+  O.Server.ForcePoll = ForcePoll;
   for (const cluster::Address &A : *List)
     O.Backends.push_back(A.name());
   O.VirtualNodes = VNodes < 1 ? 1 : VNodes;
-  O.MaxConnections = static_cast<size_t>(MaxConns < 1 ? 1 : MaxConns);
-  O.MaxFrameBytes =
-      static_cast<size_t>(MaxFrameKb < 1 ? 1 : MaxFrameKb) * 1024;
   O.HealthIntervalMs =
       static_cast<uint64_t>(HealthMs < 1 ? 1 : HealthMs);
   O.FailThreshold = FailThreshold < 1 ? 1 : FailThreshold;
@@ -163,7 +166,6 @@ int main(int argc, char **argv) {
   O.FlightCapacity = static_cast<size_t>(FlightCap < 0 ? 0 : FlightCap);
   O.SlowLogMs = static_cast<uint64_t>(SlowLogMs < 0 ? 0 : SlowLogMs);
   O.SlowLogPath = SlowLogPath;
-  O.ForcePoll = ForcePoll;
 
   std::signal(SIGPIPE, SIG_IGN);
   if (!TraceOut.empty() || TraceOn)
@@ -198,6 +200,7 @@ int main(int argc, char **argv) {
       Router.beginDrain();
   }
   GRouter = nullptr;
+  net::ServerStats NS = Router.server().stats();
   cluster::RouterStats S = Router.stats();
   Router.stop();
 
@@ -209,11 +212,11 @@ int main(int argc, char **argv) {
       "\"reinstatements\":%ld,\"upstream_timeouts\":%ld,"
       "\"orphans\":%ld,\"protocol_errors\":%ld,"
       "\"healthy_backends\":%zu}\n",
-      S.ConnectionsAccepted, S.ConnectionsRejected, S.ConnectionsClosed,
-      S.FramesIn, S.FramesOut, S.RequestsRouted, S.ResponsesRelayed,
-      S.RejectsRelayed, S.RejectsSent, S.Retries, S.BackendEvictions,
+      NS.ConnectionsAccepted, NS.ConnectionsRejected, NS.ConnectionsClosed,
+      NS.FramesIn, NS.FramesOut, S.RequestsRouted, S.ResponsesRelayed,
+      S.RejectsRelayed, NS.RejectsSent, S.Retries, S.BackendEvictions,
       S.BackendReinstatements, S.UpstreamTimeouts, S.OrphanResponses,
-      S.ProtocolErrors, S.HealthyBackends);
+      NS.ProtocolErrors, S.HealthyBackends);
   std::fflush(stdout);
 
   if (!MetricsOut.empty())

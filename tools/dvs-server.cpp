@@ -205,11 +205,6 @@ int main(int argc, char **argv) {
   std::signal(SIGPIPE, SIG_IGN);
   if (!TraceOut.empty() || TraceOn)
     obs::trace().setEnabled(true);
-  // Pre-registered so the family exists (at zero) in every scrape even
-  // before the trace ring first overwrites.
-  obs::metrics().counter(
-      "cdvs_trace_dropped_total",
-      "Trace events lost to ring-buffer overwrite since process start.");
 
   net::Server Server(O);
   ErrorOr<bool> Started = Server.start();
