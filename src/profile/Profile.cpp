@@ -27,16 +27,12 @@ Profile cdvs::collectProfile(Simulator &Sim, const ModeTable &Modes,
   P.TotalTimeAtMode.assign(NumModes, 0.0);
   P.TotalEnergyAtMode.assign(NumModes, 0.0);
 
-  uint64_t FirstInstructions = 0;
+  // One functional pass times every mode: control flow is mode-invariant
+  // (paper assumption 1) by construction, not by a check.
+  std::vector<RunStats> Runs = Sim.runLanes(Modes);
   for (int M = 0; M < NumModes; ++M) {
-    RunStats S = Sim.runAtLevel(Modes.level(M));
+    const RunStats &S = Runs[M];
     assert(S.Completed && "profiling run hit the instruction cap");
-    // Control flow must be mode-invariant (paper assumption 1).
-    if (M == 0)
-      FirstInstructions = S.Instructions;
-    assert(S.Instructions == FirstInstructions &&
-           "control flow varied across modes");
-    (void)FirstInstructions;
     P.TotalTimeAtMode[M] = S.TimeSeconds;
     P.TotalEnergyAtMode[M] = S.EnergyJoules;
     for (int B = 0; B < P.NumBlocks; ++B) {
@@ -46,12 +42,11 @@ Profile cdvs::collectProfile(Simulator &Sim, const ModeTable &Modes,
       P.TimePerInvocation[B][M] = S.BlockTimeSeconds[B] / Execs;
       P.EnergyPerInvocation[B][M] = S.BlockEnergyJoules[B] / Execs;
     }
-    if (M == ReferenceMode) {
-      P.BlockExecs = S.BlockExecs;
-      P.EdgeCounts = S.EdgeCounts;
-      P.PathCounts = S.PathCounts;
-      P.Reference = S;
-    }
   }
+  RunStats &Ref = Runs[ReferenceMode];
+  P.BlockExecs = Ref.BlockExecs;
+  P.EdgeCounts = Ref.EdgeCounts;
+  P.PathCounts = Ref.PathCounts;
+  P.Reference = std::move(Ref);
   return P;
 }

@@ -22,7 +22,8 @@ Cache::Cache(CacheConfig InConfig) : Config(InConfig) {
                           static_cast<size_t>(Config.BlockBytes));
   assert(NumSets > 0 && isPowerOfTwo(NumSets) &&
          "sets must be a nonzero power of two");
-  Sets.resize(NumSets);
+  Tags.assign(NumSets * Config.Ways, 0);
+  Fill.assign(NumSets, 0);
   SetMask = NumSets - 1;
   BlockShift = 0;
   while ((1 << BlockShift) < Config.BlockBytes)
@@ -30,27 +31,30 @@ Cache::Cache(CacheConfig InConfig) : Config(InConfig) {
 }
 
 bool Cache::access(uint64_t Addr) {
-  uint64_t Block = Addr >> BlockShift;
-  Set &S = Sets[Block & SetMask];
-  uint64_t Tag = Block >> 0; // full block id as tag (set bits redundant)
-  auto It = std::find(S.Tags.begin(), S.Tags.end(), Tag);
-  if (It != S.Tags.end()) {
-    // Move to front (most recently used).
-    S.Tags.erase(It);
-    S.Tags.insert(S.Tags.begin(), Tag);
+  uint64_t Block = Addr >> BlockShift; // full block id as tag
+  size_t Set = Block & SetMask;
+  uint64_t *First = &Tags[Set * Config.Ways];
+  int &Used = Fill[Set];
+  uint64_t *Last = First + Used;
+  uint64_t *It = std::find(First, Last, Block);
+  bool Hit = It != Last;
+  if (Hit) {
     ++Hits;
-    return true;
+  } else {
+    ++Misses;
+    // Fill an empty way, or evict the LRU block at the back.
+    if (Used < Config.Ways)
+      ++Used;
+    It = First + Used - 1;
   }
-  ++Misses;
-  if (static_cast<int>(S.Tags.size()) >= Config.Ways)
-    S.Tags.pop_back();
-  S.Tags.insert(S.Tags.begin(), Tag);
-  return false;
+  // Move to front (most recently used).
+  std::copy_backward(First, It, It + 1);
+  *First = Block;
+  return Hit;
 }
 
 void Cache::reset() {
-  for (Set &S : Sets)
-    S.Tags.clear();
+  std::fill(Fill.begin(), Fill.end(), 0);
   Hits = 0;
   Misses = 0;
 }

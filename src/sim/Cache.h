@@ -9,6 +9,9 @@
 /// unified L2 of the profiling simulator (the paper's Table 2 uses
 /// 64 KB 4-way 32 B-block L1s and a 512 KB 4-way 32 B-block L2).
 /// Timing lives in the simulator; this class tracks only hit/miss state.
+/// The sets share one flat tag array (Ways slots per set, most recently
+/// used first) with a fill count per set, so a lookup touches one
+/// contiguous run of tags and the cache allocates once.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -42,17 +45,15 @@ public:
 
   uint64_t hits() const { return Hits; }
   uint64_t misses() const { return Misses; }
-  size_t numSets() const { return Sets.size(); }
+  size_t numSets() const { return Fill.size(); }
   const CacheConfig &config() const { return Config; }
 
 private:
-  struct Set {
-    // Tags in LRU order: front = most recently used. Empty slots absent.
-    std::vector<uint64_t> Tags;
-  };
-
   CacheConfig Config;
-  std::vector<Set> Sets;
+  /// Set S owns Tags[S * Ways, S * Ways + Fill[S]), in LRU order: the
+  /// front is the most recently used block.
+  std::vector<uint64_t> Tags;
+  std::vector<int> Fill;
   uint64_t SetMask = 0;
   int BlockShift = 0;
   uint64_t Hits = 0;

@@ -21,6 +21,21 @@
 ///  * the analytic model's program parameters Noverlap, Ndependent,
 ///    Ncache (cycles) and tinvariant (seconds).
 ///
+/// One interpreter loop serves every entry point. It makes one
+/// functional pass — registers, memory, cache contents and hit/miss
+/// outcomes, block/edge/path/4-gram and instruction counts, none of
+/// which depend on the clock (the paper's assumption 1) — and drives one
+/// timing lane per operating point: core time, register ready times,
+/// the outstanding DRAM miss, per-block time/energy, the overlap/
+/// dependent/cache cycle split and gated time. runLanes() times every
+/// level of a table in one pass; runAtLevel() and the DVS-controlled
+/// run() are one-lane passes. Each lane performs the same floating-point
+/// operations in the same order as a pass with that lane alone, so a
+/// lane's numbers are bit-identical to its level run by itself. Every
+/// lane is one run to the cdvs_sim_* counters: a pass of N lanes adds N
+/// to cdvs_sim_runs_total and N times the instruction count, so the
+/// instruction counter reads mode-instructions.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef CDVS_SIM_SIMULATOR_H
@@ -106,10 +121,22 @@ public:
   /// Runs entirely at one operating point with no transition costs.
   RunStats runAtLevel(const VoltageLevel &Level);
 
+  /// Runs entirely at each level of \p Levels in one functional pass;
+  /// element M equals runAtLevel(Levels.level(M)) bit for bit.
+  std::vector<RunStats> runLanes(const ModeTable &Levels);
+
   const Function &function() const { return F; }
   const SimConfig &config() const { return Config; }
 
 private:
+  /// The interpreter loop. Without \p Control: one fixed-mode lane per
+  /// level of \p Modes. With it: one lane that starts at
+  /// Control->InitialMode and switches modes as \p Control assigns,
+  /// paying \p Transitions costs.
+  std::vector<RunStats> execute(const ModeTable &Modes,
+                                const ModeAssignment *Control,
+                                const TransitionModel *Transitions);
+
   const Function &F;
   SimConfig Config;
   std::vector<int64_t> InitRegs;
