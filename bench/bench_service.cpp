@@ -11,8 +11,10 @@
 //    collapsing onto the in-flight leader or hitting the fresh entry.
 //
 // The checks are hard asserts, so the binary doubles as an integration
-// test; scripts/check.sh runs it. Results also land in
-// BENCH_service.json for machine consumption.
+// test; scripts/check.sh runs it. The results are written as JSON only
+// when --benchmark_out=FILE is given; the tracked record is re-made with
+//   bench_service --benchmark_out=BENCH_service.json
+//     --benchmark_context=git_sha=<sha>,build_type=<type>
 //
 //===----------------------------------------------------------------------===//
 
@@ -20,10 +22,12 @@
 #include "service/Service.h"
 #include "support/ArgParse.h"
 
+#include <algorithm>
 #include <cassert>
 #include <chrono>
 #include <cstdio>
 #include <future>
+#include <thread>
 #include <vector>
 
 using namespace cdvs;
@@ -59,8 +63,11 @@ int main(int argc, char **argv) {
               "concurrent-duplicate collapse");
   int &Threads =
       P.addInt("threads", 0, "service workers; 0 = one per core");
-  std::string &OutPath = P.addString("benchmark_out", "BENCH_service.json",
-                                     "JSON results file");
+  std::string &OutPath =
+      P.addString("benchmark_out", "", "JSON results file (none if empty)");
+  std::string &Context = P.addString(
+      "benchmark_context", "",
+      "key=value[,key=value...] pairs recorded in the results file");
   if (!P.parseOrExit(argc, argv))
     return 0;
 
@@ -203,16 +210,29 @@ int main(int argc, char **argv) {
               DupWorkload, DupTightness, DupMisses, DupShared, DupHits);
   assert(DupShared >= 1 && "no request collapsed onto the leader");
 
+  if (OutPath.empty())
+    return 0;
   std::FILE *Out = std::fopen(OutPath.c_str(), "w");
   if (!Out) {
     std::fprintf(stderr, "bench_service: cannot write %s\n",
                  OutPath.c_str());
     return 1;
   }
+  std::fprintf(Out, "{\n  \"benchmark\": \"bench_service\",\n");
+  std::fprintf(Out, "  \"host_cores\": %u,\n",
+               std::thread::hardware_concurrency());
+  // Context pairs as string fields, e.g. git_sha and build_type.
+  for (size_t Pos = 0; Pos < Context.size();) {
+    size_t End = std::min(Context.find(',', Pos), Context.size());
+    std::string Pair = Context.substr(Pos, End - Pos);
+    size_t Eq = Pair.find('=');
+    if (Eq != std::string::npos)
+      std::fprintf(Out, "  \"%s\": \"%s\",\n", Pair.substr(0, Eq).c_str(),
+                   Pair.substr(Eq + 1).c_str());
+    Pos = End + 1;
+  }
   std::fprintf(
       Out,
-      "{\n"
-      "  \"benchmark\": \"bench_service\",\n"
       "  \"jobs\": %zu,\n"
       "  \"cold_seconds\": %.6f,\n"
       "  \"warm_seconds\": %.6f,\n"

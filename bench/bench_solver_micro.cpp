@@ -5,14 +5,15 @@
 // cold, serial and threaded), the cycle-level simulator, and end-to-end
 // DVS scheduling. These are the pieces whose wall-clock cost the paper's
 // Figures 14/18 measure; the microbenches track their throughput across
-// instance sizes. Run with no arguments the binary also writes its
-// results to BENCH_solver.json (google-benchmark JSON format).
+// instance sizes. The binary writes a results file only when given
+// --benchmark_out=FILE; the tracked record is re-made with
+//   bench_solver_micro --benchmark_out=BENCH_solver.json
+//     --benchmark_context=git_sha=<sha>,build_type=<type>
 //
 //===----------------------------------------------------------------------===//
 
 #include "../tests/common/RandomMilp.h"
 #include "BenchCommon.h"
-#include "support/ArgParse.h"
 #include "support/Rng.h"
 
 #include <benchmark/benchmark.h>
@@ -215,38 +216,4 @@ BENCHMARK(BM_SchedulePresolve)
 
 } // namespace
 
-// Like BENCHMARK_MAIN(), but defaults --benchmark_out to
-// BENCH_solver.json (JSON format) so every run leaves a machine-readable
-// record next to the printed table. Unrecognized --benchmark_* flags
-// pass through to google-benchmark untouched.
-int main(int argc, char **argv) {
-  ArgParser P("bench_solver_micro",
-              "google-benchmark microbenches of the simplex, MILP, "
-              "simulator, and end-to-end scheduling substrates");
-  std::string &Out = P.addString("benchmark_out", "BENCH_solver.json",
-                                 "results file (google-benchmark)");
-  std::string &Format = P.addString("benchmark_out_format", "json",
-                                    "results format (google-benchmark)");
-  P.allowUnknown(true);
-  if (!P.parseOrExit(argc, argv))
-    return 0;
-
-  // Rebuild an argv for benchmark::Initialize from the parsed values (so
-  // the defaults apply) plus every pass-through --benchmark_* flag.
-  std::vector<std::string> Rebuilt;
-  Rebuilt.push_back(argv[0]);
-  Rebuilt.push_back("--benchmark_out=" + Out);
-  Rebuilt.push_back("--benchmark_out_format=" + Format);
-  for (const std::string &A : P.unparsed())
-    Rebuilt.push_back(A);
-  std::vector<char *> Args;
-  for (std::string &A : Rebuilt)
-    Args.push_back(A.data());
-  int Argc = static_cast<int>(Args.size());
-  benchmark::Initialize(&Argc, Args.data());
-  if (benchmark::ReportUnrecognizedArguments(Argc, Args.data()))
-    return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
-}
+BENCHMARK_MAIN();

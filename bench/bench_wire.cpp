@@ -5,18 +5,16 @@
 // FrameParser reassembly throughput for contiguous streams and for the
 // fragmented arrival pattern real sockets produce. The parser numbers
 // bound what one net::Server loop thread can ingest before the MILP
-// pipeline — not the network — is the bottleneck. Run with no arguments
-// the binary also writes BENCH_wire.json (google-benchmark format).
+// pipeline — not the network — is the bottleneck. The binary writes a
+// results file only when given --benchmark_out=FILE.
 //
 //===----------------------------------------------------------------------===//
 
 #include "net/Wire.h"
-#include "support/ArgParse.h"
 
 #include <benchmark/benchmark.h>
 
 #include <string>
-#include <vector>
 
 using namespace cdvs;
 using namespace cdvs::net;
@@ -132,35 +130,4 @@ BENCHMARK(BM_RejectRoundTrip);
 
 } // namespace
 
-// Like BENCHMARK_MAIN(), but defaults --benchmark_out to BENCH_wire.json
-// so every run leaves a machine-readable record next to the printed
-// table. Unrecognized --benchmark_* flags pass through untouched.
-int main(int argc, char **argv) {
-  ArgParser P("bench_wire",
-              "google-benchmark microbenches of the cdvs-wire v1 "
-              "framing codec and parser");
-  std::string &Out = P.addString("benchmark_out", "BENCH_wire.json",
-                                 "results file (google-benchmark)");
-  std::string &Format = P.addString("benchmark_out_format", "json",
-                                    "results format (google-benchmark)");
-  P.allowUnknown(true);
-  if (!P.parseOrExit(argc, argv))
-    return 0;
-
-  std::vector<std::string> Rebuilt;
-  Rebuilt.push_back(argv[0]);
-  Rebuilt.push_back("--benchmark_out=" + Out);
-  Rebuilt.push_back("--benchmark_out_format=" + Format);
-  for (const std::string &A : P.unparsed())
-    Rebuilt.push_back(A);
-  std::vector<char *> Args;
-  for (std::string &A : Rebuilt)
-    Args.push_back(A.data());
-  int Argc = static_cast<int>(Args.size());
-  benchmark::Initialize(&Argc, Args.data());
-  if (benchmark::ReportUnrecognizedArguments(Argc, Args.data()))
-    return 1;
-  benchmark::RunSpecifiedBenchmarks();
-  benchmark::Shutdown();
-  return 0;
-}
+BENCHMARK_MAIN();
