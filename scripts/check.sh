@@ -15,7 +15,9 @@
 #   4. observability smoke: a dvsd batch with tracing enabled must emit
 #      a Prometheus snapshot that dvs-stat --check validates (format +
 #      every canonical family from scripts/metric_names.txt present)
-#      and a Chrome trace with the per-job pipeline spans;
+#      and a Chrome trace with the per-job pipeline spans (sim_run
+#      included); eight racing same-key jobs must collect one profile,
+#      which counts exactly one simulator run per mode lane;
 #   5. static analysis: dvs-lint audits every bundled workload's CFG and
 #      profile (and, with --solve, certifies one MILP solution), and
 #      scripts/lint.sh diffs clang-tidy findings against the committed
@@ -133,7 +135,7 @@ printf '%s\n' \
 ./build/tools/dvs-stat --check --names=scripts/metric_names.txt \
   "$OBS_TMP/metrics.prom"
 # The trace must carry the per-job pipeline spans.
-for span in '"job"' '"profile"' '"bound"' '"solve"' '"milp_solve"'; do
+for span in '"job"' '"profile"' '"sim_run"' '"bound"' '"solve"' '"milp_solve"'; do
   grep -q "$span" "$OBS_TMP/trace.json" \
     || { echo "trace is missing span $span"; exit 1; }
 done
@@ -142,15 +144,21 @@ done
 grep -q '"cdvs_stage_latency_seconds"' "$OBS_TMP/metrics.json" \
   || { echo "metrics JSON dump is missing stage latencies"; exit 1; }
 # Single-flight profiles: eight jobs on one cold (workload, input, mode
-# table) key, four workers racing on it, exactly one collection.
+# table) key, four workers racing on it, exactly one collection. That
+# collection is one simulator pass with one timing lane per level, and
+# each lane counts one run: a 4-level key adds exactly 4 runs.
 : > "$OBS_TMP/race_jobs.jsonl"
 for i in 0 1 2 3 4 5 6 7; do
   echo "{\"id\":\"race$i\",\"workload\":\"adpcm\",\"input\":\"rossini\",\"levels\":4,\"tightness\":0.$((2 + i))}" \
     >> "$OBS_TMP/race_jobs.jsonl"
 done
-./build/tools/dvsd --threads=4 --quiet "$OBS_TMP/race_jobs.jsonl" \
+./build/tools/dvsd --threads=4 --quiet --metrics-out="$OBS_TMP/race.prom" \
+  "$OBS_TMP/race_jobs.jsonl" \
   | grep '"type":"stats"' | grep -q '"profile_cache":{"hits":[0-9]*,"misses":1,' \
   || { echo "racing same-key jobs collected the profile more than once"; exit 1; }
+grep -qx 'cdvs_sim_runs_total 4' "$OBS_TMP/race.prom" \
+  || { echo "a 4-level profile collection must count 4 simulator runs:"; \
+       grep '^cdvs_sim_runs_total' "$OBS_TMP/race.prom"; exit 1; }
 
 echo
 echo "== static analysis: dvs-lint over the bundled workloads =="
