@@ -55,7 +55,7 @@ std::vector<std::pair<std::string, ModeTable>> modeTables() {
 /// Adds a double's exact bit pattern (HashBuilder::add(double) folds
 /// -0.0 into +0.0; a golden record must not).
 void addBits(HashBuilder &H, double V) {
-  uint64_t Bits;
+  uint64_t Bits = 0;
   std::memcpy(&Bits, &V, sizeof Bits);
   H.add(Bits);
 }

@@ -23,7 +23,7 @@ using namespace cdvs;
 namespace {
 
 uint64_t bits(double V) {
-  uint64_t B;
+  uint64_t B = 0;
   std::memcpy(&B, &V, sizeof B);
   return B;
 }
