@@ -10,7 +10,7 @@
 // BENCH_taskgraph.json).
 //
 // The checks are hard asserts, so the binary doubles as an integration
-// test; scripts/check.sh runs it:
+// test:
 //  * the online row's recorded static energy equals the static row's
 //    planned energy (same compile-time plan underneath);
 //  * for every instance whose tasks all finish at or under their
