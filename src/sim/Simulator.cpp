@@ -92,9 +92,9 @@ struct Lane {
   // stands for: Cycles * CycleTime and Ceff(class) * V * V.
   double OpTime[NumOpClasses] = {};
   double OpEnergy[NumOpClasses] = {};
-  double BranchTime = 0.0;   ///< one cycle
-  double L1MissTime = 0.0;   ///< L1 + L2 hit cycles
-  double FetchMissTime = 0.0;///< L2 hit cycles
+  double BranchTime = 0.0;    ///< one cycle
+  double L1MissTime = 0.0;    ///< L1 + L2 hit cycles
+  double FetchMissTime = 0.0; ///< L2 hit cycles
 
   void setMode(const ModeTable &Modes, int NewMode, const SimConfig &C) {
     Mode = NewMode;

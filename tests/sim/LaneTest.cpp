@@ -98,7 +98,8 @@ TEST(Lanes, InstructionCapStopsEveryLane) {
   C.MaxInstructions = 123457; // lands mid-block, mid-run
   Simulator Sim(*W.Fn, C);
   W.defaultInput().Setup(Sim);
-  for (const RunStats &S : expectLanesMatchSoloRuns(Sim, ModeTable::xscale3())) {
+  for (const RunStats &S :
+       expectLanesMatchSoloRuns(Sim, ModeTable::xscale3())) {
     EXPECT_FALSE(S.Completed);
     EXPECT_GE(S.Instructions, C.MaxInstructions);
   }
