@@ -7,10 +7,16 @@
 /// \file
 /// Profiling data in exactly the shape the paper's MILP consumes
 /// (Section 4.2): per-block, per-mode invocation time Tjm and energy Ejm,
-/// edge counts Gij, and local-path counts Dhij. A Profiler produces one
-/// Profile per input by running the simulator once per available mode —
-/// per-mode profiling is required because memory asynchrony makes
-/// execution time a non-linear function of clock frequency.
+/// edge counts Gij, and local-path counts Dhij. collectProfile produces
+/// one Profile per input from one Simulator::runLanes pass: the program
+/// is interpreted once, and one timing lane per mode measures its time
+/// and energy. Per-mode timing is required because memory asynchrony
+/// makes execution time a non-linear function of clock frequency; the
+/// functional state (control flow, memory, cache contents, counts) is
+/// mode-invariant and shared. Each lane repeats the floating-point
+/// operations of a solo run in order, so every Tjm and Ejm is
+/// bit-identical to running that mode alone, and each lane still counts
+/// as one run in the cdvs_sim_* counters.
 ///
 /// Multiple input categories (Section 4.3) are a vector of Profiles with
 /// occurrence probabilities.
@@ -58,12 +64,13 @@ struct CategoryProfile {
   double Probability = 1.0;
 };
 
-/// Runs a configured Simulator once per mode and assembles a Profile.
+/// Times every mode of \p Modes in one multi-lane simulator pass and
+/// assembles a Profile.
 ///
 /// The caller owns simulator setup (registers/memory = the input data
-/// set). The reference mode (default: fastest) provides edge/path counts;
-/// control flow is input-deterministic, so counts agree across modes —
-/// asserted cheaply via total instruction counts.
+/// set). The reference mode (default: fastest) provides the Reference
+/// run; edge/path counts come from the shared functional pass, so they
+/// agree across modes by construction.
 Profile collectProfile(Simulator &Sim, const ModeTable &Modes,
                        int ReferenceMode = -1);
 
