@@ -19,27 +19,15 @@
 //
 //===----------------------------------------------------------------------===//
 
+#include "GoldenRecord.h"
 #include "profile/Profile.h"
-#include "support/Hash.h"
-#include "workloads/Workloads.h"
 
 #include <gtest/gtest.h>
 
-#include <cstring>
-#include <fstream>
-#include <iostream>
-#include <map>
-#include <sstream>
-#include <string>
-
 using namespace cdvs;
+using namespace cdvs::golden;
 
 namespace {
-
-const char *const RecordPath = CDVS_GOLDEN_RECORD;
-
-const std::vector<std::string> WorkloadNames = {
-    "adpcm", "epic", "gsm", "mpeg_decode", "mpg123", "ghostscript"};
 
 /// The mode tables in use, by the name each record line carries.
 std::vector<std::pair<std::string, ModeTable>> modeTables() {
@@ -50,20 +38,6 @@ std::vector<std::pair<std::string, ModeTable>> modeTables() {
     Tables.emplace_back("even" + std::to_string(N),
                         ModeTable::evenVoltageLevels(N, 0.7, 1.65, Vf));
   return Tables;
-}
-
-/// Adds a double's exact bit pattern (HashBuilder::add(double) folds
-/// -0.0 into +0.0; a golden record must not).
-void addBits(HashBuilder &H, double V) {
-  uint64_t Bits = 0;
-  std::memcpy(&Bits, &V, sizeof Bits);
-  H.add(Bits);
-}
-
-void addBits(HashBuilder &H, const std::vector<double> &Vs) {
-  H.add(static_cast<uint64_t>(Vs.size()));
-  for (double V : Vs)
-    addBits(H, V);
 }
 
 template <typename T> void addInts(HashBuilder &H, const std::vector<T> &Vs) {
@@ -137,8 +111,8 @@ std::string profileEntry(const Profile &P) {
 
 /// Every record entry of one workload: "<workload> <input> <table>" ->
 /// the digests that line carries.
-std::map<std::string, std::string> computeEntries(const Workload &W) {
-  std::map<std::string, std::string> Entries;
+Entries computeEntries(const Workload &W) {
+  Entries Out;
   TransitionModel Regulator = TransitionModel::paperTypical();
   ModeAssignment Mixed;
   Mixed.InitialMode = 2;
@@ -149,77 +123,47 @@ std::map<std::string, std::string> computeEntries(const Workload &W) {
     In.Setup(Sim);
     std::string Prefix = W.Name + " " + In.Name + " ";
     for (const auto &[Name, Modes] : modeTables())
-      Entries[Prefix + Name] = profileEntry(collectProfile(Sim, Modes));
-    Entries[Prefix + "run-xscale3"] =
+      Out[Prefix + Name] = profileEntry(collectProfile(Sim, Modes));
+    Out[Prefix + "run-xscale3"] =
         "run=" + runDigest(Sim.run(ModeTable::xscale3(), Mixed, Regulator));
   }
-  return Entries;
+  return Out;
 }
 
-std::map<std::string, std::string> readRecord() {
-  std::map<std::string, std::string> Record;
-  std::ifstream In(RecordPath);
-  std::string Line;
-  while (std::getline(In, Line)) {
-    if (Line.empty() || Line[0] == '#')
-      continue;
-    // The key is the first three fields; the digests follow.
-    std::istringstream Fields(Line);
-    std::string Name, Input, Table, Digests;
-    Fields >> Name >> Input >> Table;
-    std::getline(Fields >> std::ws, Digests);
-    Record[Name + " " + Input + " " + Table] = Digests;
-  }
-  return Record;
+} // namespace
+
+const RecordFile &golden::profileRecord() {
+  static const RecordFile F = {
+      CDVS_GOLDEN_PROFILES,
+      "# Golden profile record: <workload> <input> <mode table> "
+      "<digests>.\n"
+      "# Regenerate with `golden_test --update` (tests/golden/"
+      "GoldenProfileTest.cpp).\n",
+      computeEntries};
+  return F;
 }
 
-int writeRecord() {
-  std::ostringstream Out;
-  Out << "# Golden profile record: <workload> <input> <mode table> "
-         "<digests>.\n"
-         "# Regenerate with `golden_test --update` (tests/golden/"
-         "GoldenProfileTest.cpp).\n";
-  for (const std::string &Name : WorkloadNames)
-    for (const auto &[Key, Value] : computeEntries(workloadByName(Name)))
-      Out << Key << ' ' << Value << '\n';
-  std::ofstream File(RecordPath);
-  File << Out.str();
-  if (!File) {
-    std::cerr << "golden_test: cannot write " << RecordPath << "\n";
-    return 1;
-  }
-  std::cout << "wrote " << RecordPath << "\n";
-  return 0;
-}
+namespace {
 
 class GoldenProfiles : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(GoldenProfiles, MatchRecord) {
-  std::map<std::string, std::string> Record = readRecord();
-  ASSERT_FALSE(Record.empty()) << "no golden record at " << RecordPath;
-  for (const auto &[Key, Value] : computeEntries(workloadByName(GetParam()))) {
-    auto It = Record.find(Key);
-    if (It == Record.end())
-      ADD_FAILURE() << "'" << Key << "' has no record line";
-    else if (It->second != Value)
-      ADD_FAILURE() << "'" << Key << "' moved\n  recorded: " << It->second
-                    << "\n  computed: " << Value;
-  }
+  expectMatchesRecord(profileRecord(), GetParam());
 }
 
 INSTANTIATE_TEST_SUITE_P(
-    Workloads, GoldenProfiles, ::testing::ValuesIn(WorkloadNames),
+    Workloads, GoldenProfiles, ::testing::ValuesIn(workloadNames()),
     [](const ::testing::TestParamInfo<std::string> &Info) {
       return Info.param;
     });
 
 TEST(GoldenRecord, ListsExactlyTheBundledEntries) {
-  std::map<std::string, std::string> Record = readRecord();
+  Entries Record = readRecord(profileRecord());
   std::vector<std::string> Tables = {"run-xscale3"};
   for (const auto &Table : modeTables())
     Tables.push_back(Table.first);
   size_t Expected = 0;
-  for (const std::string &Name : WorkloadNames) {
+  for (const std::string &Name : workloadNames()) {
     Workload W = workloadByName(Name);
     for (const WorkloadInput &In : W.Inputs)
       for (const std::string &Table : Tables) {
@@ -232,11 +176,3 @@ TEST(GoldenRecord, ListsExactlyTheBundledEntries) {
 }
 
 } // namespace
-
-int main(int argc, char **argv) {
-  for (int I = 1; I < argc; ++I)
-    if (std::strcmp(argv[I], "--update") == 0)
-      return writeRecord();
-  ::testing::InitGoogleTest(&argc, argv);
-  return RUN_ALL_TESTS();
-}
