@@ -36,6 +36,11 @@
 /// probability-weighted sum of category energies and each category gets
 /// its own deadline row, over shared mode variables.
 ///
+/// One builder (DvsScheduler.cpp) makes, presolves and solves this MILP
+/// for edge groups and for the path-context scheduler's local paths
+/// (PathScheduler.h). A group with no energy, time or transition weight
+/// decodes to the slowest mode; every other group takes the solver's.
+///
 //===----------------------------------------------------------------------===//
 
 #ifndef CDVS_DVS_DVSSCHEDULER_H
@@ -167,8 +172,6 @@ public:
   int numIndependentGroups() const;
 
 private:
-  void buildGroups();
-
   const Function &Fn;
   std::vector<CategoryProfile> Categories;
   const ModeTable &Modes;

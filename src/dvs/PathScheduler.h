@@ -13,15 +13,13 @@
 /// strictly generalizes it: more program context in exchange for a
 /// larger MILP.
 ///
-/// Formulation mirrors the edge scheduler:
-///  * one SOS1 group k[(h,i,j)][m] per profiled local path (plus the
-///    virtual pre-entry path (-2, -1, 0) pinned to the initial mode);
-///  * execution cost of block j under path (h,i,j) weighted by Dhij;
-///  * transition costs between consecutive paths weighted by the
-///    4-gram counts Q(h,i,j,k) the simulator collects;
-///  * one deadline row.
-///
-/// The decoded ModeAssignment carries PathMode entries, with a
+/// The MILP is the edge scheduler's, built by the same code
+/// (dvs/DvsScheduler.cpp) over different decision units: one SOS1
+/// group per profiled local path (h, i, j), costing Dhij executions of
+/// block j, plus the virtual pre-entry path (-2, -1, 0) pinned to the
+/// initial mode; transitions between consecutive paths are weighted by
+/// the 4-gram counts Q(h,i,j,k) the simulator collects; one deadline
+/// row. The decoded ModeAssignment carries PathMode entries, with a
 /// majority-vote EdgeMode fallback for run-time contexts the profile
 /// never observed.
 ///
@@ -36,8 +34,10 @@ namespace cdvs {
 
 /// Path-context scheduling over a single profile.
 ///
-/// \p Opts: FilterThreshold is ignored (path instances are already
-/// profile-pruned); InitialMode and Milp apply as in DvsScheduler.
+/// \p Opts: InitialMode, DumpLp, KeepArtifacts and Milp apply as in
+/// DvsScheduler. FilterThreshold is ignored (path instances are already
+/// profile-pruned), and so is Presolve: every path unit is profiled, so
+/// presolve could only drop the pinned entry unit.
 ErrorOr<ScheduleResult>
 schedulePathContext(const Function &Fn, const Profile &Prof,
                     const ModeTable &Modes,
