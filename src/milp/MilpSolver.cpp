@@ -21,7 +21,9 @@
 //
 // The search never prunes against anything but a proven incumbent, so the
 // final objective equals the serial solver's within AbsGap regardless of
-// thread count or exploration order.
+// thread count or exploration order. An incumbent is proven when the
+// point satisfies the problem's rows and bounds; a candidate that does
+// not truncates the search rather than becoming the answer.
 //
 //===----------------------------------------------------------------------===//
 
@@ -187,6 +189,31 @@ static LpSolution solveNodeLpImpl(SimplexEngine &Engine, bool WarmStart,
   return solveLp(Engine.problem(), LpOpts);
 }
 
+bool MilpSolver::offerIncumbent(Shared &S, double Objective,
+                                const std::vector<double> &X) {
+  if (Objective >= S.Incumbent.load() - Opts.AbsGap)
+    return false;
+  // A cold simplex solve can call a row-violating point optimal, and an
+  // integral one would end the search as a proven optimum. Refuse it and
+  // truncate the search instead (1e-6 is the certificate checker's
+  // tolerance; every DVS rhs is at most 1).
+  if (!Problem.isFeasible(X, 1e-6)) {
+    S.Truncated.store(true);
+    return false;
+  }
+  {
+    std::lock_guard<std::mutex> Lock(S.IncM);
+    if (Objective >= S.IncumbentVal - Opts.AbsGap)
+      return false;
+    S.IncumbentVal = Objective;
+    S.BestX = X;
+    S.Incumbent.store(Objective);
+  }
+  S.IncumbentUpdates.fetch_add(1, std::memory_order_relaxed);
+  obs::traceInstant("incumbent", "milp", "objective", Objective);
+  return true;
+}
+
 bool MilpSolver::tryRounding(Shared &S, Worker &W,
                              const std::vector<double> &Relaxed) {
   // Save bounds we are about to clobber.
@@ -226,20 +253,8 @@ bool MilpSolver::tryRounding(Shared &S, Worker &W,
   LpSolution R = solveNodeLpImpl(*W.Engine, Opts.WarmStart, Opts.LpOpts,
                                  W.ColdLps);
   W.LpIterations += R.Iterations;
-  bool Improved = false;
-  if (R.Status == LpStatus::Optimal) {
-    std::lock_guard<std::mutex> Lock(S.IncM);
-    if (R.Objective < S.IncumbentVal - Opts.AbsGap) {
-      S.IncumbentVal = R.Objective;
-      S.BestX = R.X;
-      S.Incumbent.store(R.Objective);
-      Improved = true;
-    }
-  }
-  if (Improved) {
-    S.IncumbentUpdates.fetch_add(1, std::memory_order_relaxed);
-    obs::traceInstant("incumbent", "milp", "objective", R.Objective);
-  }
+  bool Improved =
+      R.Status == LpStatus::Optimal && offerIncumbent(S, R.Objective, R.X);
 
   for (auto It = Saved.rbegin(); It != Saved.rend(); ++It) {
     W.Engine->setBounds(It->first, It->second.first, It->second.second);
@@ -335,20 +350,7 @@ void MilpSolver::processNode(Shared &S, Worker &W,
   int BranchVar = pickBranchVariable(R.X);
   if (BranchVar < 0) {
     // Integer feasible: candidate incumbent.
-    bool Improved = false;
-    {
-      std::lock_guard<std::mutex> Lock(S.IncM);
-      if (R.Objective < S.IncumbentVal - Opts.AbsGap) {
-        S.IncumbentVal = R.Objective;
-        S.BestX = R.X;
-        S.Incumbent.store(R.Objective);
-        Improved = true;
-      }
-    }
-    if (Improved) {
-      S.IncumbentUpdates.fetch_add(1, std::memory_order_relaxed);
-      obs::traceInstant("incumbent", "milp", "objective", R.Objective);
-    }
+    offerIncumbent(S, R.Objective, R.X);
     return;
   }
 

@@ -29,7 +29,10 @@
 /// The search is exact on natural termination: node exploration order
 /// varies with thread count, but every pruning decision compares against
 /// a proven incumbent, so the returned objective is the true optimum
-/// (within AbsGap) for any NumThreads.
+/// (within AbsGap) for any NumThreads. An incumbent, from a node or from
+/// rounding, must satisfy every row and bound within 1e-6
+/// (LpProblem::isFeasible); a candidate LP point that does not marks the
+/// search truncated, so the solve ends Feasible or Limit, never Optimal.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -116,6 +119,8 @@ private:
   struct Node;
   void workerLoop(Shared &S, int WorkerIndex);
   void processNode(Shared &S, Worker &W, const std::shared_ptr<Node> &N);
+  bool offerIncumbent(Shared &S, double Objective,
+                      const std::vector<double> &X);
   bool tryRounding(Shared &S, Worker &W, const std::vector<double> &Relaxed);
   int pickBranchVariable(const std::vector<double> &X) const;
 

@@ -3,6 +3,8 @@
 #include "dvs/DvsScheduler.h"
 
 #include "ir/IRBuilder.h"
+#include "verify/Verify.h"
+#include "workloads/Workloads.h"
 
 #include <gtest/gtest.h>
 
@@ -233,6 +235,86 @@ TEST(DvsScheduler, MultiCategoryRespectsBothDeadlines) {
   RunStats RunB = SimB.run(Modes, R->Assignment, Reg);
   EXPECT_LE(RunA.TimeSeconds, DeadA * 1.0001);
   EXPECT_LE(RunB.TimeSeconds, DeadB * 1.0001);
+}
+
+/// One bundled workload input's xscale3 profile and the service's
+/// deadline at \p Tightness (TFast + t * (TSlow - TFast)).
+struct WorkloadRig {
+  Workload W;
+  std::unique_ptr<Simulator> Sim;
+  ModeTable Modes;
+  Profile Prof;
+  double Deadline = 0.0;
+
+  WorkloadRig(const std::string &Name, const std::string &Input,
+              double Tightness, ModeTable InModes = ModeTable::xscale3())
+      : W(workloadByName(Name)), Modes(std::move(InModes)) {
+    Sim = std::make_unique<Simulator>(*W.Fn);
+    W.input(Input).Setup(*Sim);
+    Prof = collectProfile(*Sim, Modes);
+    Deadline = Prof.TotalTimeAtMode.back() +
+               Tightness * (Prof.TotalTimeAtMode.front() -
+                            Prof.TotalTimeAtMode.back());
+  }
+};
+
+TEST(DvsScheduler, UnfilteredScheduleRunsAtItsPredictedEnergy) {
+  // Groups with no execution energy that still sit in a transition pair
+  // (the edge into the zero-cost exit block) keep the solver's mode, so
+  // the run pays exactly the switches the MILP chose.
+  TransitionModel Reg = TransitionModel::paperTypical();
+  for (auto [Name, Input, Tightness] :
+       {std::tuple<const char *, const char *, double>{"adpcm", "clinton",
+                                                       0.15},
+        {"gsm", "speech1", 0.5}}) {
+    WorkloadRig Rig(Name, Input, Tightness);
+    DvsOptions O;
+    O.FilterThreshold = 0.0;
+    O.InitialMode = static_cast<int>(Rig.Modes.size()) - 1;
+    O.KeepArtifacts = true;
+    DvsScheduler S(*Rig.W.Fn, Rig.Prof, Rig.Modes, Reg, O);
+    ErrorOr<ScheduleResult> R = S.schedule(Rig.Deadline);
+    ASSERT_TRUE(R.hasValue()) << Name << ": " << R.message();
+    RunStats Run = Rig.Sim->run(Rig.Modes, R->Assignment, Reg);
+    EXPECT_NEAR(Run.EnergyJoules, R->PredictedEnergyJoules,
+                1e-9 * R->PredictedEnergyJoules)
+        << Name;
+    verify::Audit A = verify::auditScheduleResult(
+        *Rig.W.Fn, {{Rig.Prof, 1.0}}, Rig.Modes, Reg, *R, {Rig.Deadline});
+    EXPECT_TRUE(A.ok()) << Name << ":\n" << A.R.render();
+  }
+}
+
+TEST(DvsScheduler, RowViolatingRootPointIsNeverOptimal) {
+  // At the presolved root of this instance the cold simplex returns an
+  // integral "optimal" point that breaks transition and deadline rows
+  // (its schedule runs 42.2 ms against a 13.2 ms deadline). B&B must
+  // refuse it as an incumbent; today that leaves no answer. Without
+  // presolve the solve finds a feasible optimum.
+  ModeTable Modes =
+      ModeTable::evenVoltageLevels(13, 0.7, 1.65, VfModel::paperDefault());
+  TransitionModel Reg = TransitionModel::withCapacitance(1e-6);
+  WorkloadRig A("gsm", "speech1", 0.5, Modes);
+  WorkloadRig B("gsm", "speech2", 0.5, Modes);
+  std::vector<CategoryProfile> Cats = {{A.Prof, 0.5}, {B.Prof, 0.5}};
+  std::vector<double> Deadlines = {A.Deadline, B.Deadline};
+  for (bool Presolve : {true, false}) {
+    DvsOptions O;
+    O.InitialMode = static_cast<int>(Modes.size()) - 1;
+    O.KeepArtifacts = true;
+    O.Presolve = Presolve;
+    O.Milp.NumThreads = 1;
+    DvsScheduler S(*A.W.Fn, Cats, Modes, Reg, O);
+    ErrorOr<ScheduleResult> R = S.schedule(Deadlines);
+    if (Presolve && !R)
+      continue; // refused: no incumbent survived the feasibility check
+    ASSERT_TRUE(R.hasValue()) << R.message();
+    EXPECT_EQ(R->Status, MilpStatus::Optimal);
+    verify::Audit Audit = verify::auditScheduleResult(
+        *A.W.Fn, Cats, Modes, Reg, *R, Deadlines);
+    EXPECT_TRUE(Audit.ok())
+        << "presolve " << Presolve << ":\n" << Audit.R.render();
+  }
 }
 
 TEST(DvsScheduler, MismatchedDeadlineCountFails) {
