@@ -81,10 +81,6 @@ verify::checkSchedule(const Function &Fn,
     if (H != -1 && !CfgEdges.count({H, I}))
       R.error(PassName, Loc, "path enters along a non-CFG edge");
   }
-  if (!A.PathMode.empty())
-    R.note(PassName, "paths",
-           "context-sensitive entries present; transition accounting "
-           "uses first-order (edge-mode) incoming contexts");
 
   // Resolve the static mode carried on every edge. Edges absent from
   // EdgeMode mean "the current mode persists", so the mode entering a
@@ -127,6 +123,21 @@ verify::checkSchedule(const Function &Fn,
                                                       : Conflict;
     return ModeIn[E.From];
   };
+  // The mode traversing (H, I, J) sets, as the simulator resolves it:
+  // the path's own entry, else the edge's static mode.
+  auto pathModeOf = [&](int H, int I, int J) -> int {
+    auto It = A.PathMode.find({H, I, J});
+    if (It == A.PathMode.end())
+      return modeOf({I, J});
+    return It->second >= 0 && It->second < NumModes ? It->second
+                                                     : Conflict;
+  };
+  auto onCfg = [&](int H, int I, int J) {
+    return CfgEdges.count({I, J}) && (H == -1 || CfgEdges.count({H, I}));
+  };
+  // Path-context schedules are charged exactly: executions per local
+  // path at that path's mode, switches per profiled 4-gram.
+  const bool PerPath = !A.PathMode.empty();
 
   if (DeadlineSeconds.size() != Categories.size())
     R.error(PassName, "deadlines",
@@ -172,33 +183,48 @@ verify::checkSchedule(const Function &Fn,
                             " times is statically unreachable");
         continue;
       }
+      if (PerPath)
+        continue;
       double Cnt = static_cast<double>(G);
       Time.add(Cnt * P.TimePerInvocation[E.To][M]);
       Energy.add(Cnt * P.EnergyPerInvocation[E.To][M]);
     }
 
-    // Transition costs on exactly the switching path pairs.
-    for (const auto &[Path, D] : P.PathCounts) {
-      auto [H, I, J] = Path;
-      CfgEdge InEdge{H, I}, OutEdge{I, J};
-      if (H != -1 && !CfgEdges.count(InEdge))
-        continue; // reported by the cfg pass
-      if (!CfgEdges.count(OutEdge))
-        continue;
-      int MIn = modeOf(InEdge);
-      int MOut = -1;
-      auto PIt = A.PathMode.find({H, I, J});
-      if (PIt != A.PathMode.end() && PIt->second >= 0 &&
-          PIt->second < NumModes)
-        MOut = PIt->second;
-      else
-        MOut = modeOf(OutEdge);
+    // Transition costs on exactly the switching consecutive traversals;
+    // cfg-pass defects and missing modes are reported elsewhere, and a
+    // same-mode pair is silent.
+    auto chargeSwitch = [&](int MIn, int MOut, uint64_t N) {
       if (MIn < 0 || MOut < 0 || MIn == MOut)
-        continue; // missing modes already reported; same mode is silent
-      double Cnt = static_cast<double>(D);
+        return;
+      double Cnt = static_cast<double>(N);
       double Vi = Modes.level(MIn).Volts, Vj = Modes.level(MOut).Volts;
       Time.add(Cnt * Transitions.switchTime(Vi, Vj));
       Energy.add(Cnt * Transitions.switchEnergy(Vi, Vj));
+    };
+    if (PerPath) {
+      for (const auto &[Path, D] : P.PathCounts) {
+        auto [H, I, J] = Path;
+        int M = onCfg(H, I, J) ? pathModeOf(H, I, J) : -1;
+        if (M < 0)
+          continue;
+        double Cnt = static_cast<double>(D);
+        Time.add(Cnt * P.TimePerInvocation[J][M]);
+        Energy.add(Cnt * P.EnergyPerInvocation[J][M]);
+      }
+      // The 4-gram (G, H, I, J) moves from path (G, H, I) to (H, I, J);
+      // G == -2 is the launch, still in the initial mode.
+      for (const auto &[Quad, Q] : P.Reference.QuadCounts) {
+        auto [G, H, I, J] = Quad;
+        if (onCfg(H, I, J) && (G == -2 || onCfg(G, H, I)))
+          chargeSwitch(G == -2 ? A.InitialMode : pathModeOf(G, H, I),
+                       pathModeOf(H, I, J), Q);
+      }
+    } else {
+      for (const auto &[Path, D] : P.PathCounts) {
+        auto [H, I, J] = Path;
+        if (onCfg(H, I, J))
+          chargeSwitch(modeOf({H, I}), modeOf({I, J}), D);
+      }
     }
 
     Out.CategoryTimeSeconds.push_back(Time.value());
@@ -207,7 +233,7 @@ verify::checkSchedule(const Function &Fn,
 
     if (C < DeadlineSeconds.size()) {
       double D = DeadlineSeconds[C];
-      double Slack = Opts.Tolerance * std::fmax(1.0, std::fabs(D));
+      double Slack = Opts.Tolerance * std::fabs(D);
       if (Time.value() > D + Slack)
         R.error(PassName, CatLoc,
                 "recomputed time " + std::to_string(Time.value() * 1e3) +
@@ -246,7 +272,7 @@ verify::checkSchedule(const Function &Fn,
   if (Opts.ClaimedEnergyJoules >= 0.0) {
     double Claimed = Opts.ClaimedEnergyJoules;
     double Diff = std::fabs(Out.EnergyJoules - Claimed);
-    double Slack = Opts.Tolerance * std::fmax(1.0, std::fabs(Claimed));
+    double Slack = Opts.Tolerance * std::fabs(Claimed);
     if (Diff > Slack)
       R.error(PassName, "objective",
               "recomputed energy " + std::to_string(Out.EnergyJoules) +

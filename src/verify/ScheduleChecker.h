@@ -15,7 +15,11 @@
 ///
 /// with SE/ST charged on exactly the switching path pairs (same-mode
 /// pairs cost zero by |Vi - Vj| = 0), the virtual launch edge included
-/// at count 1, and checks:
+/// at count 1. A schedule with path-context entries (PathMode) is
+/// charged as the simulator runs it: each local path's D_hij executions
+/// of block j at that path's mode, and SE/ST on each profiled 4-gram
+/// Q_ghij (Profile::Reference.QuadCounts) whose two paths' modes differ.
+/// It checks:
 ///
 ///  * every assigned mode index exists in the ModeTable;
 ///  * every assigned edge lies on the CFG, and every executed edge has
@@ -49,7 +53,8 @@ namespace verify {
 /// Knobs for the schedule legality check.
 struct ScheduleCheckOptions {
   /// Relative tolerance on deadline and energy comparisons (scaled by
-  /// max(1, |reference|)).
+  /// |reference|: deadlines and energies are seconds and joules, far
+  /// below 1).
   double Tolerance = 1e-6;
   /// The edge-filter threshold the schedule was produced with; > 0
   /// enables the filtered-placement soundness audit.

@@ -2,6 +2,7 @@
 
 #include "dvs/PathScheduler.h"
 
+#include "verify/Verify.h"
 #include "workloads/Workloads.h"
 
 #include <gtest/gtest.h>
@@ -27,13 +28,29 @@ struct Rig {
   }
 };
 
-TEST(PathScheduler, MeetsDeadlineAndMatchesPrediction) {
-  Rig R("gsm");
+/// Every answer must pass the MILP certificate and the schedule audit.
+void expectAuditClean(const Function &Fn, const Profile &Prof,
+                      const ModeTable &Modes, const TransitionModel &Reg,
+                      const ScheduleResult &S, double Deadline) {
+  ASSERT_TRUE(S.Artifacts) << "path-context solves keep artifacts";
+  verify::Audit A = verify::auditScheduleResult(Fn, {{Prof, 1.0}}, Modes,
+                                                Reg, S, {Deadline});
+  EXPECT_TRUE(A.ok()) << A.R.render();
+}
+
+DvsOptions auditedOptions() {
   DvsOptions O;
   O.InitialMode = 2;
+  O.KeepArtifacts = true;
+  return O;
+}
+
+TEST(PathScheduler, MeetsDeadlineAndMatchesPrediction) {
+  Rig R("gsm");
   ErrorOr<ScheduleResult> S = schedulePathContext(
-      *R.W.Fn, R.Prof, R.Modes, R.Reg, R.Deadline, O);
+      *R.W.Fn, R.Prof, R.Modes, R.Reg, R.Deadline, auditedOptions());
   ASSERT_TRUE(S.hasValue()) << S.message();
+  expectAuditClean(*R.W.Fn, R.Prof, R.Modes, R.Reg, *S, R.Deadline);
   RunStats Run = R.Sim->run(R.Modes, S->Assignment, R.Reg);
   EXPECT_LE(Run.TimeSeconds, R.Deadline * 1.0001);
   EXPECT_NEAR(Run.EnergyJoules, S->PredictedEnergyJoules,
@@ -46,8 +63,7 @@ TEST(PathScheduler, GeneralizesEdgeScheduling) {
   // edge optimum's.
   for (const char *Name : {"mpeg_decode", "ghostscript"}) {
     Rig R(Name);
-    DvsOptions O;
-    O.InitialMode = 2;
+    DvsOptions O = auditedOptions();
     O.FilterThreshold = 0.0; // unfiltered edge baseline
     DvsScheduler Edge(*R.W.Fn, R.Prof, R.Modes, R.Reg, O);
     ErrorOr<ScheduleResult> ER = Edge.schedule(R.Deadline);
@@ -55,6 +71,7 @@ TEST(PathScheduler, GeneralizesEdgeScheduling) {
     ErrorOr<ScheduleResult> PR = schedulePathContext(
         *R.W.Fn, R.Prof, R.Modes, R.Reg, R.Deadline, O);
     ASSERT_TRUE(PR.hasValue()) << Name << ": " << PR.message();
+    expectAuditClean(*R.W.Fn, R.Prof, R.Modes, R.Reg, *PR, R.Deadline);
     EXPECT_LE(PR->PredictedEnergyJoules,
               ER->PredictedEnergyJoules * (1.0 + 1e-6))
         << Name;
@@ -62,6 +79,19 @@ TEST(PathScheduler, GeneralizesEdgeScheduling) {
     EXPECT_GE(PR->NumIndependentGroups, ER->NumIndependentGroups)
         << Name;
   }
+}
+
+TEST(PathScheduler, DumpsTheMilpItSolves) {
+  Rig R("gsm");
+  DvsOptions O = auditedOptions();
+  O.DumpLp = true;
+  ErrorOr<ScheduleResult> S = schedulePathContext(
+      *R.W.Fn, R.Prof, R.Modes, R.Reg, R.Deadline, O);
+  ASSERT_TRUE(S.hasValue()) << S.message();
+  EXPECT_NE(S->LpText.find("p_u0_m0"), std::string::npos);
+  ASSERT_TRUE(S->Artifacts);
+  EXPECT_EQ(S->Artifacts->Problem.numVariables(), S->NumVars);
+  EXPECT_EQ(S->Artifacts->Problem.numRows(), S->NumRows);
 }
 
 TEST(PathScheduler, InfeasibleDeadlineErrs) {
@@ -76,11 +106,10 @@ TEST(PathScheduler, InfeasibleDeadlineErrs) {
 
 TEST(PathScheduler, AssignmentCarriesPathAndEdgeFallback) {
   Rig R("mpeg_decode");
-  DvsOptions O;
-  O.InitialMode = 2;
   ErrorOr<ScheduleResult> S = schedulePathContext(
-      *R.W.Fn, R.Prof, R.Modes, R.Reg, R.Deadline, O);
+      *R.W.Fn, R.Prof, R.Modes, R.Reg, R.Deadline, auditedOptions());
   ASSERT_TRUE(S.hasValue()) << S.message();
+  expectAuditClean(*R.W.Fn, R.Prof, R.Modes, R.Reg, *S, R.Deadline);
   EXPECT_FALSE(S->Assignment.PathMode.empty());
   // Every CFG edge has a fallback mode (profiled majority or slowest).
   EXPECT_EQ(S->Assignment.EdgeMode.size(), R.W.Fn->edges().size());
@@ -105,13 +134,12 @@ TEST(PathScheduler, CrossInputRunStillCompletes) {
   Simulator SimA(*W.Fn);
   W.input("100b").Setup(SimA);
   Profile ProfA = collectProfile(SimA, Modes);
-  DvsOptions O;
-  O.InitialMode = 2;
   double Deadline = 0.5 * (ProfA.TotalTimeAtMode.front() +
                            ProfA.TotalTimeAtMode.back());
-  ErrorOr<ScheduleResult> S =
-      schedulePathContext(*W.Fn, ProfA, Modes, Reg, Deadline, O);
+  ErrorOr<ScheduleResult> S = schedulePathContext(
+      *W.Fn, ProfA, Modes, Reg, Deadline, auditedOptions());
   ASSERT_TRUE(S.hasValue()) << S.message();
+  expectAuditClean(*W.Fn, ProfA, Modes, Reg, *S, Deadline);
 
   Simulator SimB(*W.Fn);
   W.input("bbc").Setup(SimB);
