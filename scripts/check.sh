@@ -19,7 +19,8 @@
 #      included); eight racing same-key jobs must collect one profile,
 #      which counts exactly one simulator run per mode lane;
 #   5. static analysis: dvs-lint audits every bundled workload's CFG and
-#      profile (and, with --solve, certifies one MILP solution), and
+#      profile (and, with --solve, certifies one MILP solution and every
+#      input's unfiltered schedule), and
 #      scripts/lint.sh diffs clang-tidy findings against the committed
 #      baseline (scripts/clang-tidy-baseline.txt) — any NEW finding
 #      fails the gate (skipped when clang-tidy is not installed);
@@ -167,6 +168,9 @@ cmake --build build -j"$JOBS" --target dvs-lint
 ./build/tools/dvs-lint
 # One solved instance end to end: schedule legality + MILP certificate.
 ./build/tools/dvs-lint --solve --workload=gsm --quiet
+# Every workload x input unfiltered: each schedule must cost exactly
+# the objective the solver claims.
+./build/tools/dvs-lint --solve --filter=0 --quiet
 
 echo
 echo "== static analysis: clang-tidy vs the committed baseline =="

@@ -33,6 +33,8 @@
 #include <thread>
 #include <vector>
 
+#include <sys/socket.h>
+
 using namespace cdvs;
 using namespace cdvs::net;
 
@@ -418,6 +420,13 @@ TEST(NetServer, WriteBackpressurePausesReadingUntilTheClientDrains) {
   // response carries the schedule (~1 KiB), so the write queue blows
   // through the high-water mark once the 4 KiB socket buffer fills.
   Client C = connectOrDie(S);
+  // The client's receive buffer must be small too: a default loopback
+  // one can absorb all the pipelined responses, and then the server's
+  // write queue never reaches high water.
+  int RcvBuf = 4096;
+  ASSERT_EQ(setsockopt(C.fd(), SOL_SOCKET, SO_RCVBUF, &RcvBuf,
+                       sizeof RcvBuf),
+            0);
   const int N = 200;
   for (int I = 0; I < N; ++I)
     ASSERT_TRUE(C.sendRequest(gsmJob("bp" + std::to_string(I)))
